@@ -1,6 +1,7 @@
 """Fully associative backup cache with used/enabled bits and randomized victim selection."""
 
 import random
+from bisect import bisect_left, insort
 from typing import Optional
 
 from .core import CacheError
@@ -30,6 +31,10 @@ class BackupCache:
     random draw among enabled lines with used=1, then among those with
     used=0. The number of enabled lines can be resized between min_size
     and max_size.
+
+    Each enabled slot sits in exactly one of the tier lists invalid, used1
+    and used0, kept in ascending slot order and updated on every state
+    change, so a victim draw indexes a list instead of scanning the lines.
     """
 
     def __init__(self, capacity: int, min_size: int, max_size: int,
@@ -51,6 +56,20 @@ class BackupCache:
             line.enabled = True
         self.current_size = initial_size
         self._where: dict[int, int] = {}
+        self.invalid = list(range(initial_size))
+        self.used1: list[int] = []
+        self.used0: list[int] = []
+
+    def _tier(self, line: _BackupLine) -> list[int]:
+        """The tier list holding an enabled line's slot."""
+        if not line.valid:
+            return self.invalid
+        return self.used1 if line.used else self.used0
+
+    @staticmethod
+    def _move(slot: int, src: list[int], dst: list[int]) -> None:
+        del src[bisect_left(src, slot)]
+        insort(dst, slot)
 
     def contains(self, addr: int) -> bool:
         return addr in self._where
@@ -60,7 +79,10 @@ class BackupCache:
         slot = self._where.get(addr)
         if slot is None:
             return False
-        self.lines[slot].used = True
+        line = self.lines[slot]
+        if not line.used:
+            line.used = True
+            self._move(slot, self.used0, self.used1)
         return True
 
     def write_touch(self, addr: int) -> bool:
@@ -70,24 +92,14 @@ class BackupCache:
             return False
         line = self.lines[slot]
         line.dirty = True
-        line.used = True
+        if not line.used:
+            line.used = True
+            self._move(slot, self.used0, self.used1)
         return True
 
     def select_victim(self) -> int:
         """Tiered random victim choice among enabled lines."""
-        invalid = []
-        used1 = []
-        used0 = []
-        for i, line in enumerate(self.lines):
-            if not line.enabled:
-                continue
-            if not line.valid:
-                invalid.append(i)
-            elif line.used:
-                used1.append(i)
-            else:
-                used0.append(i)
-        for tier in (invalid, used1, used0):
+        for tier in (self.invalid, self.used1, self.used0):
             if tier:
                 return tier[self.rng.randrange(len(tier))]
         raise CacheError("no enabled line to select a victim from")
@@ -101,6 +113,9 @@ class BackupCache:
             raise CacheError(f"insert of already-resident address {addr:#x}")
         slot = self.select_victim()
         line = self.lines[slot]
+        tier = self._tier(line)
+        if tier is not self.used0:
+            self._move(slot, tier, self.used0)
         evicted = None
         if line.valid:
             evicted = (line.addr, line.dirty)
@@ -117,6 +132,7 @@ class BackupCache:
         if slot is None:
             return False
         line = self.lines[slot]
+        self._move(slot, self._tier(line), self.invalid)
         line.valid = False
         line.dirty = False
         line.used = False
@@ -124,11 +140,11 @@ class BackupCache:
 
     def clear_used(self) -> int:
         """Clear every used bit; returns how many were set."""
-        count = 0
-        for line in self.lines:
-            if line.used:
-                count += 1
-                line.used = False
+        for slot in self.used1:
+            self.lines[slot].used = False
+        count = len(self.used1)
+        self.used0 = sorted(self.used0 + self.used1)
+        self.used1 = []
         return count
 
     def resize(self, new_size: int) -> list[int]:
@@ -143,16 +159,19 @@ class BackupCache:
         writebacks: list[int] = []
         if new_size > self.current_size:
             needed = new_size - self.current_size
-            for line in self.lines:
+            for slot, line in enumerate(self.lines):
                 if needed == 0:
                     break
                 if not line.enabled:
                     line.enabled = True
+                    insort(self.invalid, slot)
                     needed -= 1
         elif new_size < self.current_size:
             for _ in range(self.current_size - new_size):
                 slot = self.select_victim()
                 line = self.lines[slot]
+                tier = self._tier(line)
+                del tier[bisect_left(tier, slot)]
                 if line.valid:
                     if line.dirty:
                         writebacks.append(line.addr)

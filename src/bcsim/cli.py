@@ -48,23 +48,44 @@ class InputDataError(Exception):
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+    unknown = set(map(str, mapping)) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
 
 
-def _geometry(mapping: dict, where: str, defaults: CacheGeometry) -> CacheGeometry:
-    _reject_unknown(mapping, _GEOMETRY_KEYS, where)
+def _section(data: dict, key: str, allowed: set) -> dict:
+    """The mapping under key, empty if absent."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    _reject_unknown(section, allowed, key)
+    return section
+
+
+def _int(mapping: dict, key: str, default, prefix: str = ""):
+    """An integer setting, or default when the key is absent."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
+    return value
+
+
+def _geometry(data: dict, key: str, defaults: CacheGeometry) -> CacheGeometry:
+    mapping = _section(data, key, _GEOMETRY_KEYS)
+    prefix = f"{key}."
     return CacheGeometry(
-        line_bytes=mapping.get("line_bytes", defaults.line_bytes),
-        num_sets=mapping.get("sets", defaults.num_sets),
-        ways=mapping.get("ways", defaults.ways),
-        hit_cycles=mapping.get("hit_cycles", defaults.hit_cycles),
+        line_bytes=_int(mapping, "line_bytes", defaults.line_bytes, prefix),
+        num_sets=_int(mapping, "sets", defaults.num_sets, prefix),
+        ways=_int(mapping, "ways", defaults.ways, prefix),
+        hit_cycles=_int(mapping, "hit_cycles", defaults.hit_cycles, prefix),
     )
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> SimConfig:
-    """Build a SimConfig from a YAML file; unknown keys are hard errors.
+    """Build a SimConfig from a YAML file; unknown keys and mistyped values
+    are hard errors.
 
     Without a file the defaults reproduce the defended 12-16KB system.
     """
@@ -82,23 +103,22 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
             raise ConfigError(f"{path}: top level must be a mapping")
     _reject_unknown(data, _TOP_KEYS, "config")
     base = SimConfig()
-    backup = data.get("backup", {})
-    _reject_unknown(backup, _BACKUP_KEYS, "backup")
-    resize = data.get("resize", {})
-    _reject_unknown(resize, _RESIZE_KEYS, "resize")
-    seed = seed_override if seed_override is not None else data.get("seed", DEFAULT_SEED)
+    backup = _section(data, "backup", _BACKUP_KEYS)
+    resize = _section(data, "resize", _RESIZE_KEYS)
+    seed = _int(data, "seed", DEFAULT_SEED)
     try:
         return SimConfig(
             mode=data.get("mode", base.mode),
-            l1d=_geometry(data.get("l1d", {}), "l1d", base.l1d),
-            l2=_geometry(data.get("l2", {}), "l2", base.l2),
-            backup_capacity=backup.get("capacity_lines", base.backup_capacity),
-            backup_min=backup.get("min_lines", base.backup_min),
-            backup_max=backup.get("max_lines", base.backup_max),
-            memory_penalty_cycles=data.get("memory_penalty_cycles", base.memory_penalty_cycles),
-            seed=seed,
+            l1d=_geometry(data, "l1d", base.l1d),
+            l2=_geometry(data, "l2", base.l2),
+            backup_capacity=_int(backup, "capacity_lines", base.backup_capacity, "backup."),
+            backup_min=_int(backup, "min_lines", base.backup_min, "backup."),
+            backup_max=_int(backup, "max_lines", base.backup_max, "backup."),
+            memory_penalty_cycles=_int(data, "memory_penalty_cycles",
+                                       base.memory_penalty_cycles),
+            seed=seed if seed_override is None else seed_override,
             resize_mode=resize.get("mode", RESIZE_DYNAMIC),
-            fixed_threshold=resize.get("threshold"),
+            fixed_threshold=_int(resize, "threshold", None, "resize."),
         )
     except CacheError as exc:
         raise ConfigError(str(exc)) from exc
@@ -161,9 +181,12 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="CSV output file.")
 @click.option("--seed", type=int, default=None)
-@click.option("--bits", type=int, default=100, help="single_set: number of secret bits.")
-@click.option("--filler-kb", type=int, default=0, help="single_set: backup filler size in KB.")
-@click.option("--samples", type=int, default=1000, help="aes: number of samples.")
+@click.option("--bits", type=click.IntRange(min=2), default=100,
+              help="single_set: number of secret bits.")
+@click.option("--filler-kb", type=click.IntRange(min=0), default=0,
+              help="single_set: backup filler size in KB.")
+@click.option("--samples", type=click.IntRange(min=0), default=1000,
+              help="aes: number of samples.")
 @click.option("--key", "key_hex", default="000102030405060708090a0b0c0d0e0f",
               help="aes: 16-byte key as hex.")
 def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, key_hex):
@@ -172,8 +195,6 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
     config = load_config(config_path, seed)
     out = Path(out_path)
     if scenario == "single_set":
-        if bits < 2:
-            raise click.UsageError("--bits must be at least 2")
         secret = [0] * (bits // 2) + [1] * (bits - bits // 2)
         result = run_single_set_attack(config, secret, filler_bytes=filler_kb * 1024,
                                        seed=config.seed)
@@ -214,10 +235,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 @cli.command("analyze")
 @click.option("--range", "ranges", multiple=True, default=("12-16", "8-16", "4-16"),
               help="Backup size range in KB, e.g. 12-16. Repeatable.")
-@click.option("--line-bytes", type=int, default=64)
+@click.option("--line-bytes", type=click.IntRange(min=1), default=64)
 @click.option("--p", "p_bias", type=float, default=0.5, help="Guess bias on ambiguous observations.")
-@click.option("--trials", type=int, default=10**6, help="Monte Carlo trials; 0 for closed form only.")
-@click.option("--seed", type=int, default=DEFAULT_SEED)
+@click.option("--trials", type=click.IntRange(min=0), default=10**6,
+              help="Monte Carlo trials; 0 for closed form only.")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Optional CSV output file.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsim.backup import BackupCache
 from bcsim.core import CacheError
@@ -239,3 +241,50 @@ def test_full_associativity_slot_independent():
         if base is None:
             base = hits
         assert hits == base
+
+
+def scan_tiers(bc):
+    """Reference tiers rebuilt from the line bits, each in slot order."""
+    invalid, used1, used0 = [], [], []
+    for slot, line in enumerate(bc.lines):
+        if line.enabled:
+            (invalid if not line.valid else used1 if line.used else used0).append(slot)
+    return invalid, used1, used0
+
+
+def scan_victim(bc, rng):
+    for tier in scan_tiers(bc):
+        if tier:
+            return tier[rng.randrange(len(tier))]
+    raise CacheError("no enabled line to select a victim from")
+
+
+OPS = st.sampled_from(["lookup", "write_touch", "insert", "invalidate", "clear_used", "resize"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(OPS, st.integers(0, 31)), max_size=80))
+def test_tier_lists_track_line_bits(seed, ops):
+    """After every operation the tier lists equal a scan of the lines, and a
+    victim draw picks the same slot as a scan-based chooser on the same RNG state."""
+    bc = make_backup(capacity=16, min_size=2, max_size=12, size=7, seed=seed)
+    for op, arg in ops:
+        a = addr(arg)
+        if op == "clear_used":
+            used = sum(line.used for line in bc.lines)
+            assert bc.clear_used() == used
+        elif op == "resize":
+            bc.resize(bc.min_size + arg % (bc.max_size - bc.min_size + 1))
+        elif op == "insert" and bc.contains(a):
+            with pytest.raises(CacheError):
+                bc.insert(a)
+        elif op == "insert":
+            bc.insert(a, dirty=arg % 3 == 0)
+        else:
+            getattr(bc, op)(a)
+        assert (bc.invalid, bc.used1, bc.used0) == scan_tiers(bc)
+        check_discipline(bc)
+        reference = random.Random()
+        reference.setstate(bc.rng.getstate())
+        assert bc.select_victim() == scan_victim(bc, reference)

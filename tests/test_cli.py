@@ -191,3 +191,32 @@ def test_sweep_requires_backup_mode(tmp_path, trace_file):
 
 def test_unknown_subcommand():
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["attack", "aes", "--samples", "-1"], EXIT_USAGE),
+    (["attack", "single_set", "--filler-kb", "-1"], EXIT_USAGE),
+    (["attack", "single_set", "--bits", "1"], EXIT_USAGE),
+    (["analyze", "--line-bytes", "0", "--trials", "0"], EXIT_USAGE),
+    (["analyze", "--trials", "-1"], EXIT_USAGE),
+    (["analyze", "--seed", "-1", "--trials", "10"], EXIT_USAGE),
+])
+def test_bad_option_exit_code(tmp_path, argv, code):
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == code
+
+
+@pytest.mark.parametrize("text", [
+    'l1d: {ways: "4"}\n',
+    "backup: [1, 2]\n",
+    "l2: 5\n",
+    "resize: {mode: fixed, threshold: 1.5}\n",
+    "l1d: {ways: true}\n",
+    "seed: null\n",
+    "memory_penalty_cycles: '100'\n",
+    "{1: 2}\n",
+])
+def test_mistyped_config_exit_code(tmp_path, trace_file, text):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main(["sim", "--config", str(cfg), "--trace", str(trace_file),
+                 "--out", str(tmp_path / "o.txt")]) == EXIT_CONFIG
