@@ -10,7 +10,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -93,7 +93,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputDataError(f"cannot read config {path}: {exc}") from exc
         try:
             data = yaml.safe_load(text) or {}
@@ -142,7 +142,7 @@ def _read_trace(path: str):
     try:
         with open(path) as fh:
             return parse_trace(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read trace {path}: {exc}") from exc
 
 
@@ -299,18 +299,9 @@ def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
     records = _read_trace(trace_path)
     rows = []
     for threshold in values:
-        config = SimConfig(
-            mode=base.mode, l1d=base.l1d, l2=base.l2,
-            backup_capacity=base.backup_capacity, backup_min=base.backup_min,
-            backup_max=base.backup_max, memory_penalty_cycles=base.memory_penalty_cycles,
-            seed=base.seed, resize_mode=RESIZE_FIXED, fixed_threshold=threshold)
-        stats = run_trace(Simulator(config), records)
-        rows.append((str(threshold), stats))
-    dyn = SimConfig(
-        mode=base.mode, l1d=base.l1d, l2=base.l2,
-        backup_capacity=base.backup_capacity, backup_min=base.backup_min,
-        backup_max=base.backup_max, memory_penalty_cycles=base.memory_penalty_cycles,
-        seed=base.seed, resize_mode=RESIZE_DYNAMIC)
+        config = replace(base, resize_mode=RESIZE_FIXED, fixed_threshold=threshold)
+        rows.append((str(threshold), run_trace(Simulator(config), records)))
+    dyn = replace(base, resize_mode=RESIZE_DYNAMIC, fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
     out = Path(out_path)
     with out.open("w", newline="") as fh:

@@ -83,109 +83,82 @@ def line_addr(addr: int, geo: CacheGeometry) -> int:
     return addr & ~(geo.line_bytes - 1)
 
 
-class _Line:
-    __slots__ = ("valid", "dirty", "tag", "stamp")
-
-    def __init__(self):
-        self.valid = False
-        self.dirty = False
-        self.tag = 0
-        self.stamp = 0
-
-
 class SetAssociativeCache:
     """Tag-array-only set-associative cache with true LRU replacement.
 
     Data payloads are not modeled; hit/miss, dirtiness, and evicted
     line addresses are the only observables the simulator needs.
-    Invalid ways are always preferred insertion targets.
+    A set evicts only when all of its ways are valid.
     """
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self._sets = [[_Line() for _ in range(geometry.ways)] for _ in range(geometry.num_sets)]
-        self._tick = 0
+        self._num_ways = geometry.ways
+        self._offset_bits = geometry.offset_bits
+        self._index_mask = geometry.num_sets - 1
+        self._tag_shift = geometry.offset_bits + geometry.index_bits
+        # Address bits that select the set, kept when rebuilding a victim's address.
+        self._index_field = self._index_mask << self._offset_bits
+        # Each set maps tag -> dirty in recency order, least recently used first.
+        self._sets: list[dict[int, bool]] = [{} for _ in range(geometry.num_sets)]
 
-    def _touch(self, line: _Line) -> None:
-        self._tick += 1
-        line.stamp = self._tick
-
-    def _find(self, addr: int) -> tuple[int, Optional[_Line]]:
-        tag, idx, _ = decompose(addr, self.geometry)
-        for line in self._sets[idx]:
-            if line.valid and line.tag == tag:
-                return idx, line
-        return idx, None
+    def _locate(self, addr: int) -> tuple[dict[int, bool], int]:
+        """The set holding addr and addr's tag."""
+        check_addr(addr)
+        return self._sets[(addr >> self._offset_bits) & self._index_mask], addr >> self._tag_shift
 
     def lookup(self, addr: int) -> bool:
         """Probe for addr; on hit the line becomes most recently used."""
-        _, line = self._find(addr)
-        if line is None:
+        ways, tag = self._locate(addr)
+        if tag not in ways:
             return False
-        self._touch(line)
+        ways[tag] = ways.pop(tag)
         return True
 
     def contains(self, addr: int) -> bool:
         """Residency check with no side effects."""
-        return self._find(addr)[1] is not None
+        ways, tag = self._locate(addr)
+        return tag in ways
 
     def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
         """Install addr as MRU; returns (line_address, dirty) of the LRU victim if the set was full.
 
         The caller must have checked that addr is not already resident.
         """
-        tag, idx, _ = decompose(addr, self.geometry)
-        victim = None
-        for line in self._sets[idx]:
-            if line.valid and line.tag == tag:
-                raise CacheError(f"insert of already-resident address {addr:#x}")
-            if not line.valid:
-                if victim is None or victim.valid:
-                    victim = line
-            elif victim is None or (victim.valid and line.stamp < victim.stamp):
-                victim = line
+        ways, tag = self._locate(addr)
+        if tag in ways:
+            raise CacheError(f"insert of already-resident address {addr:#x}")
         evicted = None
-        if victim.valid:
-            evicted = (compose(victim.tag, idx, self.geometry), victim.dirty)
-        victim.valid = True
-        victim.dirty = dirty
-        victim.tag = tag
-        self._touch(victim)
+        if len(ways) == self._num_ways:
+            victim = next(iter(ways))
+            evicted = ((victim << self._tag_shift) | (addr & self._index_field), ways.pop(victim))
+        ways[tag] = dirty
         return evicted
 
     def invalidate(self, addr: int) -> bool:
         """Drop the matching line if present; dirty contents are discarded."""
-        _, line = self._find(addr)
-        if line is None:
-            return False
-        line.valid = False
-        line.dirty = False
-        return True
+        ways, tag = self._locate(addr)
+        return ways.pop(tag, None) is not None
 
     def write_touch(self, addr: int) -> bool:
         """On hit, mark the line dirty and most recently used."""
-        _, line = self._find(addr)
-        if line is None:
+        ways, tag = self._locate(addr)
+        if ways.pop(tag, None) is None:
             return False
-        line.dirty = True
-        self._touch(line)
+        ways[tag] = True
         return True
 
     def mark_dirty(self, addr: int) -> bool:
         """Set the dirty bit without changing recency (write-back sink)."""
-        _, line = self._find(addr)
-        if line is None:
+        ways, tag = self._locate(addr)
+        if tag not in ways:
             return False
-        line.dirty = True
+        ways[tag] = True
         return True
 
     def occupancy(self, set_index: int) -> int:
-        return sum(1 for line in self._sets[set_index] if line.valid)
+        return len(self._sets[set_index])
 
     def state_tuple(self) -> tuple:
-        """Canonical tag-array state: per set, valid ways in recency order (oldest first)."""
-        out = []
-        for ways in self._sets:
-            ordered = sorted((l for l in ways if l.valid), key=lambda l: l.stamp)
-            out.append(tuple((l.tag, l.dirty) for l in ordered))
-        return tuple(out)
+        """Canonical tag-array state: per set, (tag, dirty) of each valid way, oldest first."""
+        return tuple(tuple(ways.items()) for ways in self._sets)

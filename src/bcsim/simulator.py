@@ -3,10 +3,10 @@
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backup import BackupCache
-from .core import CacheError, CacheGeometry, SetAssociativeCache, line_addr
+from .core import CacheError, CacheGeometry, SetAssociativeCache
 
 DEFAULT_SEED = 0xB4C4E
 
@@ -101,8 +101,7 @@ class HwRegisters:
     fixed_threshold: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """Per-access record of hit case, latency, and side effects.
 
     case is "00"/"01"/"10"/"11" for (L1D hit?, backup hit?); baseline mode
@@ -133,6 +132,10 @@ class Simulator:
         self.backup: Optional[BackupCache] = None
         self.registers: Optional[HwRegisters] = None
         self.resize_count = 0
+        self._l1_hit_cycles = config.l1d.hit_cycles
+        # Outcomes are immutable, so every baseline L1 hit can share one.
+        self._l1_hit_outcome = AccessOutcome("10", config.l1d.hit_cycles)
+        self._line_mask = ~(config.l1d.line_bytes - 1)
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
             self.backup = BackupCache(
@@ -159,83 +162,63 @@ class Simulator:
         return self.access(addr, store=True)
 
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
-        if self.config.mode == MODE_BASELINE:
-            return self._access_baseline(addr, store)
-        return self._access_backup(addr, store)
-
-    def _access_baseline(self, addr: int, store: bool) -> AccessOutcome:
-        if self.l1d.lookup(addr):
-            if store:
-                self.l1d.write_touch(addr)
-            return AccessOutcome(case="10", latency_cycles=self.config.l1d.hit_cycles)
-        latency, l2_hit = self._fetch_from_l2(addr)
+        l1d, backup = self.l1d, self.backup
+        if backup is None:
+            if l1d.lookup(addr):
+                if store:
+                    l1d.write_touch(addr)
+                return self._l1_hit_outcome
+            writebacks: list[int] = []
+            latency, l2_hit = self._fetch_from_l2(addr)
+            eviction = self._install_l1(addr, store, writebacks)
+            return AccessOutcome("00", latency, eviction, tuple(writebacks), None, l2_hit)
+        la = addr & self._line_mask
+        l1_hit = l1d.lookup(addr)
+        bu_hit = backup.lookup(la)
         writebacks = []
-        eviction = None
-        evicted = self.l1d.insert(addr, dirty=store)
-        if evicted is not None:
-            eviction = evicted[0]
-            if evicted[1]:
-                self._write_back(evicted[0])
-                writebacks.append(evicted[0])
-        return AccessOutcome(case="00", latency_cycles=latency, l1_eviction=eviction,
-                             writebacks=tuple(writebacks), l2_hit=l2_hit)
-
-    def _access_backup(self, addr: int, store: bool) -> AccessOutcome:
-        la = line_addr(addr, self.config.l1d)
-        l1_hit = self.l1d.lookup(addr)
-        bu_hit = self.backup.lookup(la)
-        writebacks: list[int] = []
-        eviction = None
-        l2_hit = None
-        if l1_hit and bu_hit:
-            case = "11"
-            latency = self.config.l1d.hit_cycles
+        eviction = l2_hit = None
+        if l1_hit:
+            case = "11" if bu_hit else "10"
+            latency = self._l1_hit_cycles
             if store:
-                self.l1d.write_touch(addr)
-                self.backup.write_touch(la)
-        elif l1_hit:
-            case = "10"
-            latency = self.config.l1d.hit_cycles
-            if store:
-                self.l1d.write_touch(addr)
+                l1d.write_touch(addr)
+                if bu_hit:
+                    backup.write_touch(la)
         elif bu_hit:
             case = "01"
-            latency = self.config.l1d.hit_cycles
+            latency = self._l1_hit_cycles
             if store:
-                self.backup.write_touch(la)
+                backup.write_touch(la)
             # Line fill into L1 happens after the response; the backup keeps
             # its copy, so the L1 copy is installed clean.
-            eviction, wbs = self._install_l1(addr, dirty=False)
-            writebacks.extend(wbs)
+            eviction = self._install_l1(addr, False, writebacks)
         else:
             case = "00"
             latency, l2_hit = self._fetch_from_l2(addr)
-            eviction, wbs = self._install_l1(addr, dirty=store)
-            writebacks.extend(wbs)
-        resized = self._count_access()
-        if resized is not None:
-            writebacks.extend(resized[2])
-            resized = (resized[0], resized[1])
-        return AccessOutcome(case=case, latency_cycles=latency, l1_eviction=eviction,
-                             writebacks=tuple(writebacks), resized=resized, l2_hit=l2_hit)
+            eviction = self._install_l1(addr, store, writebacks)
+        resized = self._count_access(writebacks)
+        return AccessOutcome(case, latency, eviction, tuple(writebacks), resized, l2_hit)
 
-    def _install_l1(self, addr: int, dirty: bool) -> tuple[Optional[int], list[int]]:
-        """Install into L1D; any displaced line is written back if dirty and
-        then placed (clean) into the backup cache."""
-        writebacks: list[int] = []
-        evicted = self.l1d.insert(addr, dirty=dirty)
+    def _install_l1(self, addr: int, dirty: bool, writebacks: list[int]) -> Optional[int]:
+        """Install into L1D and return the displaced line's address, if any.
+
+        A displaced dirty line is written back (and appended to writebacks);
+        with a backup cache, the displaced line is then placed there clean.
+        """
+        evicted = self.l1d.insert(addr, dirty)
         if evicted is None:
-            return None, writebacks
+            return None
         ev_addr, ev_dirty = evicted
         if ev_dirty:
             self._write_back(ev_addr)
             writebacks.append(ev_addr)
-        if not self.backup.contains(ev_addr):
-            displaced = self.backup.insert(ev_addr, dirty=False)
+        backup = self.backup
+        if backup is not None and not backup.contains(ev_addr):
+            displaced = backup.insert(ev_addr, dirty=False)
             if displaced is not None and displaced[1]:
                 self._write_back(displaced[0])
                 writebacks.append(displaced[0])
-        return ev_addr, writebacks
+        return ev_addr
 
     def _fetch_from_l2(self, addr: int) -> tuple[int, bool]:
         if self.l2.lookup(addr):
@@ -249,21 +232,27 @@ class Simulator:
         # L2 is deliberately left untouched.
         self.l2.mark_dirty(addr)
 
-    def _count_access(self) -> Optional[tuple[int, int, list[int]]]:
-        self.registers.mem_access_count -= 1
-        if self.registers.mem_access_count > 0:
+    def _count_access(self, writebacks: list[int]) -> Optional[tuple[int, int]]:
+        """Count one access; when the counter runs out, resize the backup.
+
+        Returns (old size, new size) on a resize, appending the lines the
+        shrink wrote back to writebacks.
+        """
+        registers = self.registers
+        registers.mem_access_count -= 1
+        if registers.mem_access_count > 0:
             return None
         old = self.backup.current_size
-        new = self.rng.randint(self.registers.bcs_min, self.registers.bcs_max)
+        new = self.rng.randint(registers.bcs_min, registers.bcs_max)
         if self.config.resize_mode == RESIZE_DYNAMIC:
-            self.registers.mem_access_count = new
+            registers.mem_access_count = new
         else:
-            self.registers.mem_access_count = self.registers.fixed_threshold
-        writebacks = self.backup.resize(new)
-        for wb in writebacks:
+            registers.mem_access_count = registers.fixed_threshold
+        for wb in self.backup.resize(new):
             self._write_back(wb)
+            writebacks.append(wb)
         self.resize_count += 1
-        return old, new, writebacks
+        return old, new
 
     # -- other events -------------------------------------------------
 
@@ -275,7 +264,7 @@ class Simulator:
 
     def external_invalidate(self, addr: int) -> bool:
         """Coherence invalidation from below: drop the line everywhere."""
-        la = line_addr(addr, self.config.l1d)
+        la = addr & self._line_mask
         in_l1 = self.l1d.invalidate(addr)
         in_bu = self.backup.invalidate(la) if self.backup is not None else False
         in_l2 = self.l2.invalidate(addr)

@@ -1,7 +1,7 @@
 """Trace parsing, trace-driven simulation, and statistics accumulation."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 from .core import ADDR_LIMIT
@@ -31,21 +31,27 @@ class TraceRecord:
 
 
 def parse_line(lineno: int, line: str) -> Optional[TraceRecord]:
-    """Parse one trace line; returns None for comments and blanks."""
-    stripped = line.rstrip("\n")
-    if not stripped.strip() or stripped.startswith("#"):
-        return None
-    if stripped == "CS":
-        return TraceRecord(kind=KIND_CTXSWITCH)
-    parts = stripped.split(" ")
-    if len(parts) != 2 or parts[0] not in _OPCODES:
-        raise TraceError(lineno, f"unrecognized record {stripped!r}")
-    if not _HEXADDR.match(parts[1]):
-        raise TraceError(lineno, f"bad address {parts[1]!r}")
-    addr = int(parts[1], 16)
+    """Parse one trace line; returns None for comments and blanks.
+
+    Fields are separated by any run of whitespace, and a `#` starts a
+    comment that runs to the end of the line.
+    """
+    fields = line.split("#", 1)[0].split()
+    if len(fields) != 2:
+        if not fields:
+            return None
+        if fields == ["CS"]:
+            return TraceRecord(kind=KIND_CTXSWITCH)
+        raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
+    op, text = fields
+    if op not in _OPCODES:
+        raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
+    if not _HEXADDR.match(text):
+        raise TraceError(lineno, f"bad address {text!r}")
+    addr = int(text, 16)
     if addr >= ADDR_LIMIT:
-        raise TraceError(lineno, f"address {parts[1]} outside 48-bit space")
-    return TraceRecord(kind=_OPCODES[parts[0]], addr=addr)
+        raise TraceError(lineno, f"address {text} outside 48-bit space")
+    return TraceRecord(kind=_OPCODES[op], addr=addr)
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceRecord]:
@@ -79,21 +85,7 @@ class SimStats:
         return self.total_latency_cycles / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "accesses": self.accesses,
-            "case_counts": dict(self.case_counts),
-            "l1d_hits": self.l1d_hits,
-            "l1d_misses": self.l1d_misses,
-            "backup_hits": self.backup_hits,
-            "l2_hits": self.l2_hits,
-            "l2_misses": self.l2_misses,
-            "writebacks": self.writebacks,
-            "resizes": self.resizes,
-            "ctx_switches": self.ctx_switches,
-            "invalidations": self.invalidations,
-            "total_latency_cycles": self.total_latency_cycles,
-            "avg_access_latency": self.avg_access_latency,
-        }
+        return {**asdict(self), "avg_access_latency": self.avg_access_latency}
 
     def as_text(self) -> str:
         lines = []
@@ -110,31 +102,40 @@ class SimStats:
 
 def run_trace(sim: Simulator, records: Iterable[TraceRecord]) -> SimStats:
     """Apply every record in order and accumulate statistics."""
-    stats = SimStats()
+    access = sim.access
+    cases = {"00": 0, "01": 0, "10": 0, "11": 0}
+    l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
     for rec in records:
-        if rec.kind == KIND_CTXSWITCH:
+        kind = rec.kind
+        if kind == KIND_CTXSWITCH:
             sim.context_switch()
-            stats.ctx_switches += 1
-            continue
-        if rec.kind == KIND_INVALIDATE:
+            ctx_switches += 1
+        elif kind == KIND_INVALIDATE:
             sim.external_invalidate(rec.addr)
-            stats.invalidations += 1
-            continue
-        outcome = sim.access(rec.addr, store=(rec.kind == KIND_STORE))
-        stats.accesses += 1
-        stats.case_counts[outcome.case] += 1
-        stats.total_latency_cycles += outcome.latency_cycles
-        if outcome.case in ("10", "11"):
-            stats.l1d_hits += 1
+            invalidations += 1
         else:
-            stats.l1d_misses += 1
-        if outcome.case in ("01", "11"):
-            stats.backup_hits += 1
-        if outcome.l2_hit is True:
-            stats.l2_hits += 1
-        elif outcome.l2_hit is False:
-            stats.l2_misses += 1
-        stats.writebacks += len(outcome.writebacks)
-        if outcome.resized is not None:
-            stats.resizes += 1
-    return stats
+            case, cycles, _, wbs, resized, l2_hit = access(rec.addr, kind == KIND_STORE)
+            cases[case] += 1
+            latency += cycles
+            if l2_hit is not None:
+                if l2_hit:
+                    l2_hits += 1
+                else:
+                    l2_misses += 1
+            writebacks += len(wbs)
+            if resized is not None:
+                resizes += 1
+    return SimStats(
+        accesses=sum(cases.values()),
+        case_counts=cases,
+        l1d_hits=cases["10"] + cases["11"],
+        l1d_misses=cases["00"] + cases["01"],
+        backup_hits=cases["01"] + cases["11"],
+        l2_hits=l2_hits,
+        l2_misses=l2_misses,
+        writebacks=writebacks,
+        resizes=resizes,
+        ctx_switches=ctx_switches,
+        invalidations=invalidations,
+        total_latency_cycles=latency,
+    )

@@ -220,3 +220,20 @@ def test_mistyped_config_exit_code(tmp_path, trace_file, text):
     cfg.write_text(text)
     assert main(["sim", "--config", str(cfg), "--trace", str(trace_file),
                  "--out", str(tmp_path / "o.txt")]) == EXIT_CONFIG
+
+
+def test_non_utf8_trace_exit_input(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"R 0x40\n\xff\n")
+    rc = main(["sim", "--trace", str(bad), "--out", str(tmp_path / "o.txt")])
+    assert rc == EXIT_INPUT
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_input(tmp_path, trace_file, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"seed: 1\n\xff\n")
+    rc = main(["sim", "--config", str(cfg), "--trace", str(trace_file),
+               "--out", str(tmp_path / "o.txt")])
+    assert rc == EXIT_INPUT
+    assert "cannot read config" in capsys.readouterr().err

@@ -123,11 +123,28 @@ class LruOracle:
                 return True
         return False
 
+    def mark_dirty(self, addr):
+        tag, idx, _ = decompose(addr, self.geo)
+        for entry in self.sets[idx]:
+            if entry[0] == tag:
+                entry[1] = True
+                return True
+        return False
+
+    def contains(self, addr):
+        tag, idx, _ = decompose(addr, self.geo)
+        return any(entry[0] == tag for entry in self.sets[idx])
+
+    def state_tuple(self):
+        return tuple(tuple((tag, dirty) for tag, dirty in self.sets[s])
+                     for s in range(self.geo.num_sets))
+
 
 SMALL_GEO = CacheGeometry(line_bytes=64, num_sets=4, ways=4, hit_cycles=1)
 
 ops_strategy = st.lists(
-    st.tuples(st.sampled_from(["lookup", "insert", "write", "invalidate"]),
+    st.tuples(st.sampled_from(["lookup", "insert", "insert_dirty", "write", "invalidate",
+                               "mark_dirty", "contains"]),
               st.integers(min_value=0, max_value=31)),
     max_size=1000)
 
@@ -141,15 +158,33 @@ def test_lru_matches_brute_force_oracle(ops):
         addr = slot * SMALL_GEO.line_bytes
         if op == "lookup":
             assert cache.lookup(addr) == oracle.lookup(addr)
-        elif op == "insert":
-            if not cache.contains(addr):
-                assert cache.insert(addr) == oracle.insert(addr)
+        elif op in ("insert", "insert_dirty"):
+            dirty = op == "insert_dirty"
+            if cache.contains(addr):
+                with pytest.raises(CacheError):
+                    cache.insert(addr, dirty=dirty)
+            else:
+                assert cache.insert(addr, dirty=dirty) == oracle.insert(addr, dirty=dirty)
         elif op == "write":
             assert cache.write_touch(addr) == oracle.write_touch(addr)
-        else:
+        elif op == "invalidate":
             assert cache.invalidate(addr) == oracle.invalidate(addr)
+        elif op == "mark_dirty":
+            assert cache.mark_dirty(addr) == oracle.mark_dirty(addr)
+        else:
+            assert cache.contains(addr) == oracle.contains(addr)
+        assert cache.state_tuple() == oracle.state_tuple()
         for s in range(SMALL_GEO.num_sets):
             assert cache.occupancy(s) == len(oracle.sets[s]) <= SMALL_GEO.ways
+
+
+@pytest.mark.parametrize("method", ["lookup", "contains", "insert", "invalidate",
+                                    "write_touch", "mark_dirty"])
+@pytest.mark.parametrize("addr", [ADDR_LIMIT, -64])
+def test_public_methods_reject_out_of_range_addresses(method, addr):
+    cache = SetAssociativeCache(GEO)
+    with pytest.raises(CacheError):
+        getattr(cache, method)(addr)
 
 
 def test_empty_cache_misses():

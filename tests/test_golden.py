@@ -1,4 +1,5 @@
-"""Golden outputs: frozen stats, state digests and CLI data-file hashes.
+"""Golden outputs: frozen stats, state digests, CLI data-file hashes and
+per-access outcome streams.
 
 Each case is a (config, trace, seed) triple. Its trace is generated here
 from a fixed seed, so the frozen values pin the simulator's exact
@@ -16,7 +17,7 @@ import pytest
 
 from bcsim.cli import EXIT_OK, load_config, main
 from bcsim.simulator import Simulator
-from bcsim.trace import parse_trace, run_trace
+from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_STORE, parse_trace, run_trace
 
 CONFIGS = {
     "baseline": "mode: baseline\nl1d: {line_bytes: 64, sets: 128, ways: 4, hit_cycles: 2}\n",
@@ -40,11 +41,11 @@ HOT_LINES = 320    # 20KB: exceeds the 16KB defended L1D, fits L1D + backup
 WARM_LINES = 1024
 
 
-def trace_text(seed: int, p_cs: float, p_inv: float) -> str:
+def trace_text(seed: int, p_cs: float, p_inv: float, records: int = TRACE_RECORDS) -> str:
     rng = random.Random(seed)
     out = []
     cold = 0
-    for _ in range(TRACE_RECORDS):
+    for _ in range(records):
         r = rng.random()
         if r < p_cs:
             out.append("CS")
@@ -70,12 +71,18 @@ def _cli_sha256(argv: list[str], out: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def observe(name: str, work: Path) -> dict:
+def write_inputs(name: str, work: Path) -> tuple[Path, Path, int]:
+    """Write one case's config and trace into work; return (config, trace, seed)."""
     config_name, trace_seed, p_cs, p_inv, seed = CASES[name]
     config_path = work / "config.yaml"
     config_path.write_text(CONFIGS[config_name])
     trace_path = work / "input.trace"
     trace_path.write_text(trace_text(trace_seed, p_cs, p_inv))
+    return config_path, trace_path, seed
+
+
+def observe(name: str, work: Path) -> dict:
+    config_path, trace_path, seed = write_inputs(name, work)
     sim = Simulator(load_config(str(config_path), seed))
     with trace_path.open() as fh:
         stats = run_trace(sim, parse_trace(fh))
@@ -228,6 +235,77 @@ def test_golden(name, tmp_path):
     assert observe(name, tmp_path) == GOLDEN[name]
 
 
+def sweep_sha256(name: str, work: Path) -> str:
+    config_path, trace_path, seed = write_inputs(name, work)
+    return _cli_sha256(["sweep", "--trace", str(trace_path), "--thresholds", "50,97,500",
+                        "--config", str(config_path), "--seed", str(seed)], work / "sweep.csv")
+
+
+# `bcsim sweep` needs a backup-mode config, so the baseline case has no entry.
+SWEEP_SHA256 = {
+    "bc_12_16": "3aef75a675fca25665241c97e222817202e93f858630bdc170791a40f6fa6a1c",
+    "bc_4_16": "9356ff9e0534f9c89be0a81e45339736f3ae155f5952157b2ce84e8a404cb1cc",
+    "cs_heavy": "32fd785502cadba23da5524b85721a531e1a789225515c36d4c77d50b5da4090",
+    "fixed_resize": "247aba1d237a599ef0c76dcc5abe282f052e36ec79105f3a16c8239e41254932",
+    "inv_heavy": "3cd7c30725e1611659de61fb30e501a76ffc12e757846407fd12841f0b5f4912"
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SHA256))
+def test_sweep_golden(name, tmp_path):
+    assert sweep_sha256(name, tmp_path) == SWEEP_SHA256[name]
+
+
+# Outcome streams: name: (config, trace seed, P(CS) per record, P(INV) per record, simulator seed)
+STREAMS = {
+    "baseline": ("baseline", 21, 0.002, 0.01, 31),
+    "bc_12_16": ("bc_12_16", 22, 0.002, 0.01, 32),
+    "bc_4_16": ("bc_4_16", 23, 0.002, 0.01, 33),
+    "fixed_resize": ("fixed_97", 24, 0.002, 0.01, 34),
+}
+
+STREAM_RECORDS = 20_000
+
+
+def outcome_stream_sha256(name: str, work: Path) -> str:
+    """SHA-256 over the result of every trace event, in order.
+
+    An access contributes its AccessOutcome fields as an explicit tuple, so
+    the hash does not depend on how the outcome type prints itself. A
+    context switch contributes the number of used bits it cleared, an
+    invalidation whether the line was resident anywhere.
+    """
+    config_name, trace_seed, p_cs, p_inv, seed = STREAMS[name]
+    config_path = work / "config.yaml"
+    config_path.write_text(CONFIGS[config_name])
+    sim = Simulator(load_config(str(config_path), seed))
+    digest = hashlib.sha256()
+    for rec in parse_trace(trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS).splitlines()):
+        if rec.kind == KIND_CTXSWITCH:
+            event = ("CS", sim.context_switch())
+        elif rec.kind == KIND_INVALIDATE:
+            event = ("INV", sim.external_invalidate(rec.addr))
+        else:
+            o = sim.access(rec.addr, store=rec.kind == KIND_STORE)
+            event = (o.case, o.latency_cycles, o.l1_eviction, tuple(o.writebacks),
+                     o.resized, o.l2_hit)
+        digest.update(repr(event).encode() + b"\n")
+    return digest.hexdigest()
+
+
+STREAM_SHA256 = {
+    "baseline": "ce3435b394222ba79391a94421915a697e6eefb6508d92c16c146ecd585ac904",
+    "bc_12_16": "e1883ebc1c8d2dc064f983a0043d3160e1f6c9530475f15ddd034093567400cb",
+    "bc_4_16": "a805f3a9a86ae73222af0341a4be5d83a5bc4c3b790a5f072d1e7e7ecff2d848",
+    "fixed_resize": "6ef9ee438711b36df4085ee399cdfac02bcc3b64afdf966d2a9993cb420b6b62"
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_outcome_stream(name, tmp_path):
+    assert outcome_stream_sha256(name, tmp_path) == STREAM_SHA256[name]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -235,4 +313,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         observed = {name: observe(name, Path(tmp)) for name in sorted(CASES)}
+        sweeps = {name: sweep_sha256(name, Path(tmp)) for name in sorted(CASES)
+                  if name != "baseline"}
+        streams = {name: outcome_stream_sha256(name, Path(tmp)) for name in sorted(STREAMS)}
     print("GOLDEN = " + json.dumps(observed, indent=4))
+    print("SWEEP_SHA256 = " + json.dumps(sweeps, indent=4))
+    print("STREAM_SHA256 = " + json.dumps(streams, indent=4))

@@ -239,8 +239,8 @@ def test_no_duplicate_residency():
     for i in range(5_000):
         sim.access(rng.choice(pool), store=rng.random() < 0.3)
         if i % 500 == 0:
-            for ways in sim.l1d._sets:
-                tags = [line.tag for line in ways if line.valid]
+            for ways in sim.l1d.state_tuple():
+                tags = [tag for tag, _ in ways]
                 assert len(tags) == len(set(tags))
             assert len(sim.backup._where) == sim.backup.valid_count()
 

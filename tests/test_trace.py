@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsim.simulator import SimConfig, Simulator, baseline_config
 from bcsim.trace import (
@@ -7,9 +12,13 @@ from bcsim.trace import (
     KIND_LOAD,
     KIND_STORE,
     TraceError,
+    TraceRecord,
+    parse_line,
     parse_trace,
     run_trace,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_basic_records():
@@ -22,6 +31,53 @@ def test_parse_basic_records():
 def test_parse_skips_comments_and_blanks():
     records = parse_trace(["# header\n", "\n", "   \n", "R 0x0\n"])
     assert len(records) == 1
+
+
+LOAD_1040 = TraceRecord(kind=KIND_LOAD, addr=0x1040)
+CTXSWITCH = TraceRecord(kind=KIND_CTXSWITCH)
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("R 0x1040", LOAD_1040),
+    ("R 0x1040\n", LOAD_1040),
+    ("R 0x1040\r\n", LOAD_1040),
+    ("R\t0x1040", LOAD_1040),
+    ("R   0x1040", LOAD_1040),
+    ("  R 0x1040  ", LOAD_1040),
+    ("R 0x1040    # load", LOAD_1040),
+    ("R 0x1040# load", LOAD_1040),
+    ("CS   # context switch", CTXSWITCH),
+    (" CS\r\n", CTXSWITCH),
+    ("  # indented comment", None),
+    ("\t#", None),
+])
+def test_parse_tolerates_whitespace_and_comments(line, expected):
+    assert parse_line(1, line) == expected
+
+
+def test_readme_trace_example_parses():
+    text = README.read_text()
+    block = re.search(r"### Trace format.*?```\n(.*?)```", text, re.S).group(1)
+    records = parse_trace(block.splitlines())
+    assert [r.kind for r in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE, KIND_CTXSWITCH]
+    assert records[0].addr == 0x7F001040
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(list("RWINVCS0x1fF# \t\r")), max_size=20)),
+    max_size=5))
+def test_arbitrary_lines_parse_or_raise_trace_error_with_lineno(lines):
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec = parse_line(lineno, line)
+        except TraceError as exc:
+            assert exc.lineno == lineno
+            assert str(exc).startswith(f"line {lineno}: ")
+        else:
+            assert rec is None or rec.kind in (KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
+                                               KIND_CTXSWITCH)
 
 
 def test_parse_bad_hex_cites_line():
