@@ -6,13 +6,14 @@ probe-latency matrix. Attacker and victim never share addresses; every
 scenario is reproducible from its seed.
 """
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CacheError, CacheGeometry, compose
-from .simulator import MODE_BACKUP, SimConfig, Simulator
+from .simulator import ConfigError, SimConfig, Simulator
 
 # Tag ranges keeping attacker, victim, and T-table addresses disjoint.
 _ATTACKER_TAG_SPACE = 1 << 20
@@ -44,11 +45,11 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int],
     raises if filler is requested but no non-target set exists.
     """
     if filler_bytes % geo.line_bytes != 0:
-        raise CacheError("filler_bytes must be a multiple of the line size")
+        raise ConfigError("filler_bytes must be a multiple of the line size")
     targets = tuple(target_sets)
     for s in targets:
         if not 0 <= s < geo.num_sets:
-            raise CacheError(f"target set {s} out of range")
+            raise ConfigError(f"target set {s} out of range")
     rng = random.Random(seed)
     tag_base = rng.randrange(1, _ATTACKER_TAG_SPACE)
     set_lines = {
@@ -65,6 +66,30 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int],
             tag = tag_base + geo.ways + i // len(spare)
             filler.append(compose(tag, spare[i % len(spare)], geo))
     return EvictionSet(target_sets=targets, set_lines=set_lines, filler=filler)
+
+
+def _prime_probe(sim: Simulator, groups: list[list[int]], filler: list[int],
+                 victim: list[int]) -> list[int]:
+    """One round: prime each group and then the filler, context switch, load
+    the victim's addresses, context switch, and return each group's summed
+    probe latency, probing in prime order."""
+    load = sim.load
+    for group in groups:
+        for addr in group:
+            load(addr)
+    for addr in filler:
+        load(addr)
+    sim.context_switch()
+    for addr in victim:
+        load(addr)
+    sim.context_switch()
+    totals = []
+    for group in groups:
+        total = 0
+        for addr in group:
+            total += load(addr).latency_cycles
+        totals.append(total)
+    return totals
 
 
 @dataclass
@@ -128,22 +153,13 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
     if victim_lines is None:
         victim_lines = geo.ways
     es = build_eviction_set(geo, [target_set], filler_bytes, seed=seed)
-    probe_order = es.all_lines()
+    groups = [es.all_lines()]
     latencies = []
-    victim_counter = 0
+    victim_tags = itertools.count(_VICTIM_TAG_BASE)
     for bit in secret_bits:
-        for addr in probe_order:
-            sim.load(addr)
-        sim.context_switch()
-        if bit:
-            for _ in range(victim_lines):
-                sim.load(compose(_VICTIM_TAG_BASE + victim_counter, target_set, geo))
-                victim_counter += 1
-        sim.context_switch()
-        total = 0
-        for addr in probe_order:
-            total += sim.load(addr).latency_cycles
-        latencies.append(total)
+        victim = [compose(next(victim_tags), target_set, geo)
+                  for _ in range(victim_lines)] if bit else []
+        latencies.extend(_prime_probe(sim, groups, [], victim))
     lat0 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 0]
     lat1 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 1]
     predicted, clf = classify_threshold(lat0, lat1, latencies)
@@ -208,12 +224,12 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes, seed: int = 0,
         raise CacheError("key must be 16 bytes")
     geo = config.l1d
     if base_set + N_TTABLE_SETS > geo.num_sets:
-        raise CacheError("T-table region does not fit the cache geometry")
+        raise ConfigError("T-table region does not fit the cache geometry")
     sim = Simulator(config)
     rng = random.Random(seed)
     tag_base = rng.randrange(1, _ATTACKER_TAG_SPACE)
     sets = list(range(base_set, base_set + N_TTABLE_SETS))
-    prime_lines = {s: [compose(tag_base + w, s, geo) for w in range(geo.ways)] for s in sets}
+    prime_lines = [[compose(tag_base + w, s, geo) for w in range(geo.ways)] for s in sets]
     n_filler = filler_bytes // geo.line_bytes
     filler = [
         compose(tag_base + geo.ways + 1 + i // N_TTABLE_SETS, sets[i % N_TTABLE_SETS], geo)
@@ -223,23 +239,12 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes, seed: int = 0,
     touched = np.zeros((n_samples, N_TTABLE_SETS), dtype=bool)
     plaintexts = []
     for sample in range(n_samples):
-        for s in sets:
-            for addr in prime_lines[s]:
-                sim.load(addr)
-        for addr in filler:
-            sim.load(addr)
-        sim.context_switch()
         plaintext = rng.randbytes(16)
         plaintexts.append(plaintext)
-        for line_idx in _ttable_line_indices(rng, plaintext, key, full_rounds):
-            sim.load(compose(_TTABLE_TAG_BASE, base_set + line_idx, geo))
-            touched[sample, line_idx] = True
-        sim.context_switch()
-        for j, s in enumerate(sets):
-            total = 0
-            for addr in prime_lines[s]:
-                total += sim.load(addr).latency_cycles
-            latencies[sample, j] = total
+        indices = _ttable_line_indices(rng, plaintext, key, full_rounds)
+        touched[sample, indices] = True
+        victim = [compose(_TTABLE_TAG_BASE, base_set + i, geo) for i in indices]
+        latencies[sample] = _prime_probe(sim, prime_lines, filler, victim)
     return AesAttackResult(latencies=latencies, touched=touched, key=bytes(key),
                            base_set=base_set, seed=seed, plaintexts=plaintexts)
 
@@ -255,8 +260,3 @@ def aes_max_set_deviation(result: AesAttackResult) -> float:
     """Largest absolute deviation of a per-set mean from the grand mean."""
     set_means = result.latencies.mean(axis=0)
     return float(np.abs(set_means - result.latencies.mean()).max())
-
-
-def default_backup_filler(config: SimConfig, kb: int = 16) -> int:
-    """Filler size that primes the backup cache in defended mode, else 0."""
-    return kb * 1024 if config.mode == MODE_BACKUP else 0

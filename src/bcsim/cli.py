@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .analysis import ModelError, monte_carlo_single_set, p_avg
 from .attacks import run_aes_attack, run_single_set_attack
-from .core import CacheError, CacheGeometry
+from .core import CacheError
 from .simulator import (
     DEFAULT_SEED,
     MODE_BACKUP,
@@ -37,55 +37,55 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-_GEOMETRY_KEYS = {"line_bytes", "sets", "ways", "hit_cycles"}
-_TOP_KEYS = {"mode", "seed", "l1d", "l2", "memory_penalty_cycles", "backup", "resize"}
-_BACKUP_KEYS = {"capacity_lines", "min_lines", "max_lines"}
-_RESIZE_KEYS = {"mode", "threshold"}
+_GEOMETRY_FIELDS = {"line_bytes": "line_bytes", "sets": "num_sets", "ways": "ways",
+                    "hit_cycles": "hit_cycles"}
+# YAML key -> SimConfig field, or a section's own table. The l1d and l2
+# sections fill a CacheGeometry; the others set SimConfig fields directly.
+_SCHEMA = {
+    "mode": "mode",
+    "seed": "seed",
+    "memory_penalty_cycles": "memory_penalty_cycles",
+    "l1d": _GEOMETRY_FIELDS,
+    "l2": _GEOMETRY_FIELDS,
+    "backup": {"capacity_lines": "backup_capacity", "min_lines": "backup_min",
+               "max_lines": "backup_max"},
+    "resize": {"mode": "resize_mode", "threshold": "fixed_threshold"},
+}
 
 
 class InputDataError(Exception):
     """Unreadable or malformed input file."""
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(map(str, mapping)) - allowed
+def _fields(mapping, schema: dict, where: str, prefix: str = "") -> dict:
+    """The SimConfig fields one YAML mapping sets. A field whose default is
+    text takes any value, for SimConfig to check; every other value must be
+    an integer."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(map(str, mapping)) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
-
-
-def _section(data: dict, key: str, allowed: set) -> dict:
-    """The mapping under key, empty if absent."""
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a mapping")
-    _reject_unknown(section, allowed, key)
-    return section
-
-
-def _int(mapping: dict, key: str, default, prefix: str = ""):
-    """An integer setting, or default when the key is absent."""
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
-    return value
-
-
-def _geometry(data: dict, key: str, defaults: CacheGeometry) -> CacheGeometry:
-    mapping = _section(data, key, _GEOMETRY_KEYS)
-    prefix = f"{key}."
-    return CacheGeometry(
-        line_bytes=_int(mapping, "line_bytes", defaults.line_bytes, prefix),
-        num_sets=_int(mapping, "sets", defaults.num_sets, prefix),
-        ways=_int(mapping, "ways", defaults.ways, prefix),
-        hit_cycles=_int(mapping, "hit_cycles", defaults.hit_cycles, prefix),
-    )
+    fields = {}
+    for key, value in mapping.items():
+        name = schema[key]
+        if isinstance(name, dict):
+            found = _fields(value, name, key, f"{key}.")
+            if name is _GEOMETRY_FIELDS:
+                fields[key] = replace(getattr(SimConfig(), key), **found)
+            else:
+                fields.update(found)
+        elif (isinstance(getattr(SimConfig, name, None), str)
+              or (isinstance(value, int) and not isinstance(value, bool))):
+            fields[name] = value
+        else:
+            raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
+    return fields
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> SimConfig:
     """Build a SimConfig from a YAML file; unknown keys and mistyped values
-    are hard errors.
+    are hard errors, and absent keys keep SimConfig's defaults.
 
     Without a file the defaults reproduce the defended 12-16KB system.
     """
@@ -101,25 +101,11 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
             raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-    _reject_unknown(data, _TOP_KEYS, "config")
-    base = SimConfig()
-    backup = _section(data, "backup", _BACKUP_KEYS)
-    resize = _section(data, "resize", _RESIZE_KEYS)
-    seed = _int(data, "seed", DEFAULT_SEED)
     try:
-        return SimConfig(
-            mode=data.get("mode", base.mode),
-            l1d=_geometry(data, "l1d", base.l1d),
-            l2=_geometry(data, "l2", base.l2),
-            backup_capacity=_int(backup, "capacity_lines", base.backup_capacity, "backup."),
-            backup_min=_int(backup, "min_lines", base.backup_min, "backup."),
-            backup_max=_int(backup, "max_lines", base.backup_max, "backup."),
-            memory_penalty_cycles=_int(data, "memory_penalty_cycles",
-                                       base.memory_penalty_cycles),
-            seed=seed if seed_override is None else seed_override,
-            resize_mode=resize.get("mode", RESIZE_DYNAMIC),
-            fixed_threshold=_int(resize, "threshold", None, "resize."),
-        )
+        fields = _fields(data, _SCHEMA, "config")
+        if seed_override is not None:
+            fields["seed"] = seed_override
+        return SimConfig(**fields)
     except CacheError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,9 +305,6 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

@@ -91,16 +91,6 @@ def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED,
     )
 
 
-@dataclass
-class HwRegisters:
-    """The three control registers plus the optional fixed-threshold override."""
-
-    mem_access_count: int
-    bcs_min: int
-    bcs_max: int
-    fixed_threshold: Optional[int] = None
-
-
 class AccessOutcome(NamedTuple):
     """Per-access record of hit case, latency, and side effects.
 
@@ -130,8 +120,8 @@ class Simulator:
         self.l1d = SetAssociativeCache(config.l1d)
         self.l2 = SetAssociativeCache(config.l2)
         self.backup: Optional[BackupCache] = None
-        self.registers: Optional[HwRegisters] = None
-        self.resize_count = 0
+        # The countdown register: memory accesses left until the next resize.
+        self.mem_access_count: Optional[int] = None
         self._l1_hit_cycles = config.l1d.hit_cycles
         # Outcomes are immutable, so every baseline L1 hit can share one.
         self._l1_hit_outcome = AccessOutcome("10", config.l1d.hit_cycles)
@@ -145,13 +135,7 @@ class Simulator:
                 initial_size=size,
                 rng=self.rng,
             )
-            counter = size if config.resize_mode == RESIZE_DYNAMIC else config.fixed_threshold
-            self.registers = HwRegisters(
-                mem_access_count=counter,
-                bcs_min=config.backup_min,
-                bcs_max=config.backup_max,
-                fixed_threshold=config.fixed_threshold,
-            )
+            self.mem_access_count = self._countdown(size)
 
     # -- memory access ------------------------------------------------
 
@@ -232,26 +216,27 @@ class Simulator:
         # L2 is deliberately left untouched.
         self.l2.mark_dirty(addr)
 
+    def _countdown(self, size: int) -> int:
+        """The counter reload after sizing the backup to size: the size
+        itself in dynamic mode, fixed_threshold in fixed mode."""
+        config = self.config
+        return size if config.resize_mode == RESIZE_DYNAMIC else config.fixed_threshold
+
     def _count_access(self, writebacks: list[int]) -> Optional[tuple[int, int]]:
         """Count one access; when the counter runs out, resize the backup.
 
         Returns (old size, new size) on a resize, appending the lines the
         shrink wrote back to writebacks.
         """
-        registers = self.registers
-        registers.mem_access_count -= 1
-        if registers.mem_access_count > 0:
+        self.mem_access_count -= 1
+        if self.mem_access_count > 0:
             return None
         old = self.backup.current_size
-        new = self.rng.randint(registers.bcs_min, registers.bcs_max)
-        if self.config.resize_mode == RESIZE_DYNAMIC:
-            registers.mem_access_count = new
-        else:
-            registers.mem_access_count = registers.fixed_threshold
+        new = self.rng.randint(self.config.backup_min, self.config.backup_max)
+        self.mem_access_count = self._countdown(new)
         for wb in self.backup.resize(new):
             self._write_back(wb)
             writebacks.append(wb)
-        self.resize_count += 1
         return old, new
 
     # -- other events -------------------------------------------------
@@ -273,12 +258,9 @@ class Simulator:
     # -- introspection ------------------------------------------------
 
     def state_digest(self) -> str:
-        """SHA-256 over all tag arrays and registers (hex string)."""
+        """SHA-256 over all tag arrays, the backup size and the countdown (hex string)."""
         parts = [self.config.mode, repr(self.l1d.state_tuple()), repr(self.l2.state_tuple())]
         if self.backup is not None:
             parts.append(repr(self.backup.state_tuple()))
-            parts.append(f"{self.backup.current_size},{self.registers.mem_access_count}")
+            parts.append(f"{self.backup.current_size},{self.mem_access_count}")
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
-
-    def l2_digest(self) -> str:
-        return hashlib.sha256(repr(self.l2.state_tuple()).encode()).hexdigest()

@@ -2,7 +2,7 @@
 
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import ADDR_LIMIT
 from .simulator import Simulator
@@ -24,8 +24,7 @@ class TraceError(Exception):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     kind: str
     addr: Optional[int] = None
 

@@ -1,7 +1,11 @@
 import csv
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+import yaml
 
 from bcsim.cli import (
     EXIT_CONFIG,
@@ -11,7 +15,9 @@ from bcsim.cli import (
     load_config,
     main,
 )
-from bcsim.simulator import MODE_BACKUP, ConfigError
+from bcsim.simulator import MODE_BACKUP, ConfigError, SimConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -47,10 +53,63 @@ def test_load_config_file(tmp_path):
     assert cfg.fixed_threshold == 100
 
 
+# Each documented YAML key set to a valid non-default value, with any
+# companion keys that value needs, and the SimConfig field it must reach.
+@pytest.mark.parametrize("data, field, value", [
+    ({"mode": "baseline"}, "mode", "baseline"),
+    ({"seed": 9}, "seed", 9),
+    ({"memory_penalty_cycles": 150}, "memory_penalty_cycles", 150),
+    ({"l1d": {"line_bytes": 128}, "l2": {"line_bytes": 128}}, "l1d.line_bytes", 128),
+    ({"l1d": {"sets": 32}}, "l1d.num_sets", 32),
+    ({"l1d": {"ways": 8}}, "l1d.ways", 8),
+    ({"l1d": {"hit_cycles": 4}}, "l1d.hit_cycles", 4),
+    ({"l1d": {"line_bytes": 32}, "l2": {"line_bytes": 32}}, "l2.line_bytes", 32),
+    ({"l2": {"sets": 1024}}, "l2.num_sets", 1024),
+    ({"l2": {"ways": 16}}, "l2.ways", 16),
+    ({"l2": {"hit_cycles": 30}}, "l2.hit_cycles", 30),
+    ({"backup": {"capacity_lines": 300}}, "backup_capacity", 300),
+    ({"backup": {"min_lines": 128}}, "backup_min", 128),
+    ({"backup": {"max_lines": 224}}, "backup_max", 224),
+    ({"resize": {"mode": "fixed", "threshold": 50}}, "resize_mode", "fixed"),
+    ({"resize": {"threshold": 100}}, "fixed_threshold", 100),
+])
+def test_load_config_maps_each_key(tmp_path, data, field, value):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(data))
+    got = load_config(str(path))
+    for name in field.split("."):
+        got = getattr(got, name)
+    assert got == value
+
+
+def test_readme_config_example_loads(tmp_path):
+    block = re.search(r"### Configuration file.*?```yaml\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    path = tmp_path / "c.yaml"
+    path.write_text(block)
+    assert load_config(str(path)) == replace(SimConfig(), fixed_threshold=100)
+
+
 def test_load_config_unknown_key(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("mode: backup\nbogus: 1\n")
     with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("l1d: {bogus: 1}\n", "unknown l1d key(s): bogus"),
+    ("backup: {min_lines: 128, zz: 1, aa: 2}\n", "unknown backup key(s): aa, zz"),
+    ("resize: {mode: fixed, extra: 2}\n", "unknown resize key(s): extra"),
+    ("l2: {ways: 2.0}\n", "l2.ways must be an integer, got 2.0"),
+    ("backup: {max_lines: '256'}\n", "backup.max_lines must be an integer, got '256'"),
+    ("resize: {threshold: true}\n", "resize.threshold must be an integer, got True"),
+    ("seed: null\n", "seed must be an integer, got None"),
+])
+def test_load_config_error_messages(tmp_path, text, message):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(str(path))
 
 
@@ -220,6 +279,18 @@ def test_mistyped_config_exit_code(tmp_path, trace_file, text):
     cfg.write_text(text)
     assert main(["sim", "--config", str(cfg), "--trace", str(trace_file),
                  "--out", str(tmp_path / "o.txt")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["attack", "aes", "--samples", "1"], "l1d: {sets: 32}\n"),
+    (["attack", "single_set", "--bits", "4"], "l1d: {sets: 4}\n"),
+    (["attack", "single_set", "--bits", "4", "--filler-kb", "1"],
+     "l1d: {line_bytes: 2048}\nl2: {line_bytes: 2048}\n"),
+])
+def test_attack_geometry_unfit_exit_config(tmp_path, argv, text):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
 
 
 def test_non_utf8_trace_exit_input(tmp_path, capsys):
