@@ -6,6 +6,7 @@ run manifest recording the exact configuration.
 """
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -132,6 +133,21 @@ def _read_trace(path: str):
         raise InputDataError(f"cannot read trace {path}: {exc}") from exc
 
 
+def _require(ok, message: str):
+    """A click callback making a value that fails ok a usage error, before any work."""
+    def check(ctx, param, value):
+        if value is not None and not ok(value):
+            raise click.BadParameter(message.format(value))
+        return value
+    return check
+
+
+# Every command's --out option, one check of its directory for all of them.
+_out_option = functools.partial(
+    click.option, "--out", "out_path", type=click.Path(dir_okay=False), required=True,
+    callback=_require(lambda v: Path(v).parent.is_dir(), "directory of {} does not exist"))
+
+
 @click.group()
 @click.version_option(version=__version__)
 def cli():
@@ -141,7 +157,7 @@ def cli():
 @cli.command("sim")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="YAML config file.")
 @click.option("--trace", "trace_path", type=click.Path(), required=True, help="Trace file.")
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Stats output file.")
+@_out_option(help="Stats output file.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]), default="text")
 def cmd_sim(config_path, trace_path, out_path, seed, fmt):
@@ -165,7 +181,7 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
 @cli.command("attack")
 @click.argument("scenario", type=click.Choice(["single_set", "aes"]))
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", type=click.Path(), required=True, help="CSV output file.")
+@_out_option(help="CSV output file.")
 @click.option("--seed", type=int, default=None)
 @click.option("--bits", type=click.IntRange(min=2), default=100,
               help="single_set: number of secret bits.")
@@ -187,7 +203,7 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
         with out.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial", "secret_bit", "probe_latency_cycles"])
-            for i, (bit, lat) in enumerate(zip(result.secret_bits, result.probe_latencies)):
+            for i, (bit, lat) in enumerate(zip(secret, result.probe_latencies)):
                 writer.writerow([i, bit, lat])
         click.echo(f"accuracy={result.accuracy:.4f} degenerate={result.degenerate}")
     else:
@@ -222,11 +238,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 @click.option("--range", "ranges", multiple=True, default=("12-16", "8-16", "4-16"),
               help="Backup size range in KB, e.g. 12-16. Repeatable.")
 @click.option("--line-bytes", type=click.IntRange(min=1), default=64)
-@click.option("--p", "p_bias", type=float, default=0.5, help="Guess bias on ambiguous observations.")
+@click.option("--p", "p_bias", type=float, default=0.5,
+              callback=_require(lambda p: 0 <= p <= 1, "{} is not in [0, 1]"),  # NaN fails too
+              help="Guess bias on ambiguous observations, in [0, 1].")
 @click.option("--trials", type=click.IntRange(min=0), default=10**6,
               help="Monte Carlo trials; 0 for closed form only.")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED)
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Optional CSV output file.")
+@_out_option(required=False, help="Optional CSV output file.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
     """Closed-form attacker success probabilities with a Monte Carlo check."""
@@ -235,15 +253,12 @@ def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
         lo_kb, hi_kb = _parse_range(r)
         b_min = lo_kb * 1024 // line_bytes
         b_max = hi_kb * 1024 // line_bytes
-        try:
-            closed = p_avg(b_min, b_max)
-            if trials:
-                mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
-                rows.append((r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", trials))
-            else:
-                rows.append((r, closed, "", "", 0))
-        except ModelError as exc:
-            raise ConfigError(str(exc)) from exc
+        closed = p_avg(b_min, b_max)
+        if trials:
+            mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
+            rows.append((r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", trials))
+        else:
+            rows.append((r, closed, "", "", 0))
     header = ["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]
     if fmt == "csv" or out_path:
         buf = io.StringIO()
@@ -266,7 +281,7 @@ def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
 @cli.command("sweep")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--trace", "trace_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True, help="CSV output file.")
+@_out_option(help="CSV output file.")
 @click.option("--thresholds", default="10,50,100,200,500,1000",
               help="Comma-separated fixed resize thresholds.")
 @click.option("--seed", type=int, default=None)

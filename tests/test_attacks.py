@@ -1,12 +1,15 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bcsim.attacks import (
     aes_max_set_deviation,
     aes_set_mean_gap,
     build_eviction_set,
     classify_threshold,
-    fit_threshold,
     run_aes_attack,
     run_single_set_attack,
 )
@@ -18,7 +21,7 @@ KEY = bytes(range(16))
 
 
 def test_eviction_set_maps_to_target_set():
-    es = build_eviction_set(GEO, [5], filler_bytes=0, seed=1)
+    es = build_eviction_set(GEO, [5], filler_bytes=0, rng=random.Random(1))
     assert len(es.set_lines[5]) == GEO.ways
     for addr in es.set_lines[5]:
         assert decompose(addr, GEO)[1] == 5
@@ -26,7 +29,7 @@ def test_eviction_set_maps_to_target_set():
 
 
 def test_eviction_set_filler_count_and_disjointness():
-    es = build_eviction_set(GEO, [5], filler_bytes=4096, seed=1)
+    es = build_eviction_set(GEO, [5], filler_bytes=4096, rng=random.Random(1))
     assert len(es.filler) == 64
     for addr in es.filler:
         assert decompose(addr, GEO)[1] != 5
@@ -34,40 +37,62 @@ def test_eviction_set_filler_count_and_disjointness():
 
 
 def test_eviction_set_deterministic_by_seed():
-    a = build_eviction_set(GEO, [5], filler_bytes=8192, seed=42)
-    b = build_eviction_set(GEO, [5], filler_bytes=8192, seed=42)
-    c = build_eviction_set(GEO, [5], filler_bytes=8192, seed=43)
+    a = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(42))
+    b = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(42))
+    c = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(43))
     assert a.all_lines() == b.all_lines()
     assert a.all_lines() != c.all_lines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(targets=st.lists(st.integers(0, GEO.num_sets - 1), min_size=1, unique=True),
+       n_filler=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_eviction_set_properties(targets, n_filler, seed):
+    assume(n_filler == 0 or len(targets) < GEO.num_sets)
+    filler_bytes = n_filler * GEO.line_bytes
+    es = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))
+    assert list(es.set_lines) == targets
+    for s, lines in es.set_lines.items():
+        assert len(lines) == GEO.ways
+        assert all(decompose(addr, GEO)[1] == s for addr in lines)
+    spare = [s for s in range(GEO.num_sets) if s not in targets]
+    assert len(es.filler) == n_filler
+    for i, addr in enumerate(es.filler):
+        assert decompose(addr, GEO)[1] not in targets
+        assert decompose(addr, GEO)[1] == spare[i % len(spare)]
+    lines = es.all_lines()
+    assert len(set(lines)) == len(lines)
+    again = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))
+    assert again.all_lines() == lines
 
 
 def test_eviction_set_filler_needs_spare_sets():
     tiny = CacheGeometry(line_bytes=64, num_sets=1, ways=4, hit_cycles=1)
     with pytest.raises(CacheError):
-        build_eviction_set(tiny, [0], filler_bytes=64, seed=0)
+        build_eviction_set(tiny, [0], filler_bytes=64, rng=random.Random(0))
 
 
 def test_eviction_set_rejects_unaligned_filler():
     with pytest.raises(CacheError):
-        build_eviction_set(GEO, [5], filler_bytes=100, seed=0)
+        build_eviction_set(GEO, [5], filler_bytes=100, rng=random.Random(0))
 
 
 def test_classifier_midpoint():
-    preds, clf = classify_threshold([300, 300], [400, 400], [390, 310])
-    assert not clf.degenerate
-    assert clf.threshold == 350
+    preds, threshold, degenerate = classify_threshold([300, 300], [400, 400], [390, 310])
+    assert not degenerate
+    assert threshold == 350
     assert preds == [1, 0]
 
 
 def test_classifier_degenerate_majority():
-    preds, clf = classify_threshold([100, 100], [100], [100, 100])
-    assert clf.degenerate
+    preds, _, degenerate = classify_threshold([100, 100], [100], [100, 100])
+    assert degenerate
     assert preds == [0, 0]
 
 
 def test_classifier_needs_training_samples():
     with pytest.raises(CacheError):
-        fit_threshold([], [1])
+        classify_threshold([], [1], [])
 
 
 def test_baseline_single_set_fully_distinguishable():
@@ -91,7 +116,7 @@ def test_eviction_set_soundness_baseline():
     cfg = baseline_config()
     sim = Simulator(cfg)
     geo = cfg.l1d
-    es = build_eviction_set(geo, [5], seed=3)
+    es = build_eviction_set(geo, [5], rng=random.Random(3))
     for a in es.set_lines[5]:
         sim.load(a)
     from bcsim.core import compose

@@ -259,9 +259,33 @@ def test_unknown_subcommand():
     (["analyze", "--line-bytes", "0", "--trials", "0"], EXIT_USAGE),
     (["analyze", "--trials", "-1"], EXIT_USAGE),
     (["analyze", "--seed", "-1", "--trials", "10"], EXIT_USAGE),
+    (["analyze", "--p", "5", "--trials", "0"], EXIT_USAGE),
+    (["analyze", "--p", "nan", "--trials", "0"], EXIT_USAGE),
+    (["analyze", "--p", "-0.5", "--trials", "10"], EXIT_USAGE),
+    (["analyze", "--p", "nan", "--trials", "10"], EXIT_USAGE),
 ])
 def test_bad_option_exit_code(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--trace", "TRACE"],
+    ["attack", "single_set", "--bits", "4"],
+    ["attack", "aes", "--samples", "1"],
+    ["sweep", "--trace", "TRACE"],
+    ["analyze", "--trials", "0"],
+])
+def test_out_in_missing_directory_exit_usage(tmp_path, trace_file, capsys, argv):
+    out = tmp_path / "missing" / "o.csv"
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert str(out) in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
+
+
+def test_out_naming_a_directory_exit_usage(tmp_path):
+    assert main(["analyze", "--trials", "0", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("text", [
