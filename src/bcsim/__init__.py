@@ -6,50 +6,3 @@ attacker success probabilities.
 """
 
 __version__ = "0.1.0"
-
-from .analysis import monte_carlo_single_set, p_avg, p_correct, worst_case_overflow
-from .attacks import (
-    build_eviction_set,
-    classify_threshold,
-    run_aes_attack,
-    run_single_set_attack,
-)
-from .backup import BackupCache
-from .core import CacheError, CacheGeometry, SetAssociativeCache, compose, decompose
-from .simulator import (
-    AccessOutcome,
-    ConfigError,
-    SimConfig,
-    Simulator,
-    backup_config,
-    baseline_config,
-)
-from .trace import SimStats, TraceError, TraceRecord, parse_trace, run_trace
-
-__all__ = [
-    "AccessOutcome",
-    "BackupCache",
-    "CacheError",
-    "CacheGeometry",
-    "ConfigError",
-    "SetAssociativeCache",
-    "SimConfig",
-    "SimStats",
-    "Simulator",
-    "TraceError",
-    "TraceRecord",
-    "backup_config",
-    "baseline_config",
-    "build_eviction_set",
-    "classify_threshold",
-    "compose",
-    "decompose",
-    "monte_carlo_single_set",
-    "p_avg",
-    "p_correct",
-    "parse_trace",
-    "run_aes_attack",
-    "run_single_set_attack",
-    "run_trace",
-    "worst_case_overflow",
-]

@@ -181,16 +181,3 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
         victim = [compose(_TTABLE_TAG_BASE, i, geo) for i in indices]
         latencies[sample] = _prime_probe(sim, groups, victim)
     return AesAttackResult(latencies=latencies, touched=touched, plaintexts=plaintexts)
-
-
-def aes_set_mean_gap(result: AesAttackResult) -> float:
-    """Mean probe latency over touched (sample, set) cells minus untouched ones."""
-    touched_mean = float(result.latencies[result.touched].mean())
-    untouched_mean = float(result.latencies[~result.touched].mean())
-    return touched_mean - untouched_mean
-
-
-def aes_max_set_deviation(result: AesAttackResult) -> float:
-    """Largest absolute deviation of a per-set mean from the grand mean."""
-    set_means = result.latencies.mean(axis=0)
-    return float(np.abs(set_means - result.latencies.mean()).max())

@@ -30,28 +30,25 @@ class BackupCache:
     Victim selection is tiered: enabled invalid lines first, then a uniform
     random draw among enabled lines with used=1, then among those with
     used=0. The number of enabled lines can be resized between min_size
-    and max_size.
+    and max_size, the physical number of lines.
 
     Each enabled slot sits in exactly one of the tier lists invalid, used1
     and used0, kept in ascending slot order and updated on every state
     change, so a victim draw indexes a list instead of scanning the lines.
     """
 
-    def __init__(self, capacity: int, min_size: int, max_size: int,
-                 initial_size: int, rng: random.Random):
-        if capacity < 1:
-            raise CacheError("backup capacity must be positive")
-        if not 1 <= min_size <= max_size <= capacity:
+    def __init__(self, min_size: int, max_size: int, initial_size: int,
+                 rng: random.Random):
+        if not 1 <= min_size <= max_size:
             raise CacheError(
-                f"need 1 <= min_size <= max_size <= capacity, "
-                f"got {min_size}/{max_size}/{capacity}")
+                f"need 1 <= min_size <= max_size, "
+                f"got {min_size}/{max_size}")
         if not min_size <= initial_size <= max_size:
             raise CacheError(f"initial size {initial_size} outside [{min_size}, {max_size}]")
-        self.capacity = capacity
         self.min_size = min_size
         self.max_size = max_size
         self.rng = rng
-        self.lines = [_BackupLine() for _ in range(capacity)]
+        self.lines = [_BackupLine() for _ in range(max_size)]
         for line in self.lines[:initial_size]:
             line.enabled = True
         self.current_size = initial_size
@@ -182,12 +179,6 @@ class BackupCache:
                 line.enabled = False
         self.current_size = new_size
         return writebacks
-
-    def valid_count(self) -> int:
-        return len(self._where)
-
-    def enabled_count(self) -> int:
-        return sum(1 for line in self.lines if line.enabled)
 
     def state_tuple(self) -> tuple:
         return tuple(

@@ -24,8 +24,6 @@ from .core import CacheError
 from .simulator import (
     DEFAULT_SEED,
     MODE_BACKUP,
-    RESIZE_DYNAMIC,
-    RESIZE_FIXED,
     ConfigError,
     SimConfig,
     Simulator,
@@ -48,9 +46,8 @@ _SCHEMA = {
     "memory_penalty_cycles": "memory_penalty_cycles",
     "l1d": _GEOMETRY_FIELDS,
     "l2": _GEOMETRY_FIELDS,
-    "backup": {"capacity_lines": "backup_capacity", "min_lines": "backup_min",
-               "max_lines": "backup_max"},
-    "resize": {"mode": "resize_mode", "threshold": "fixed_threshold"},
+    "backup": {"min_lines": "backup_min", "max_lines": "backup_max"},
+    "resize": {"threshold": "fixed_threshold"},
 }
 
 
@@ -112,13 +109,13 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
 
 
 def _write_manifest(out_path: Path, command: str, config: SimConfig,
-                    outputs: list[str], started: float) -> None:
+                    started: float) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
         "config": asdict(config),
         "seed": config.seed,
-        "outputs": outputs,
+        "outputs": [str(out_path)],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
@@ -174,7 +171,7 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
     else:
         body = stats.as_text() + f"state_digest={sim.state_digest()}\n"
     out.write_text(body)
-    _write_manifest(out, "sim", config, [str(out)], started)
+    _write_manifest(out, "sim", config, started)
     click.echo(f"wrote {out}")
 
 
@@ -222,7 +219,7 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
         means = result.latencies.mean(axis=0) if samples else None
         spread = float(means.max() - means.min()) if samples else 0.0
         click.echo(f"per_set_mean_latency_spread={spread:.2f}")
-    _write_manifest(out, f"attack {scenario}", config, [str(out)], started)
+    _write_manifest(out, f"attack {scenario}", config, started)
     click.echo(f"wrote {out}")
 
 
@@ -248,30 +245,23 @@ def _parse_range(text: str) -> tuple[int, int]:
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
     """Closed-form attacker success probabilities with a Monte Carlo check."""
-    rows = []
+    rows = [["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]]
     for r in ranges:
         lo_kb, hi_kb = _parse_range(r)
         b_min = lo_kb * 1024 // line_bytes
         b_max = hi_kb * 1024 // line_bytes
-        closed = p_avg(b_min, b_max)
+        closed = f"{p_avg(b_min, b_max):.6f}"
         if trials:
             mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
-            rows.append((r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", trials))
+            rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(trials)])
         else:
-            rows.append((r, closed, "", "", 0))
-    header = ["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]
-    if fmt == "csv" or out_path:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0], f"{row[1]:.6f}", row[2], row[3], row[4]])
-        rendered = buf.getvalue()
+            rows.append([r, closed, "", "", "0"])
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    rendered = buf.getvalue()
     if fmt == "text":
-        click.echo("  ".join(f"{h:<12}" for h in header))
         for row in rows:
-            cells = [row[0], f"{row[1]:.6f}", row[2] or "-", row[3] or "-", str(row[4])]
-            click.echo("  ".join(f"{c:<12}" for c in cells))
+            click.echo("  ".join(f"{c or '-':<12}" for c in row))
     else:
         click.echo(rendered, nl=False)
     if out_path:
@@ -300,9 +290,9 @@ def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
     records = _read_trace(trace_path)
     rows = []
     for threshold in values:
-        config = replace(base, resize_mode=RESIZE_FIXED, fixed_threshold=threshold)
+        config = replace(base, fixed_threshold=threshold)
         rows.append((str(threshold), run_trace(Simulator(config), records)))
-    dyn = replace(base, resize_mode=RESIZE_DYNAMIC, fixed_threshold=None)
+    dyn = replace(base, fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
     out = Path(out_path)
     with out.open("w", newline="") as fh:
@@ -312,7 +302,7 @@ def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
         for label, stats in rows:
             writer.writerow([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
                              stats.l1d_misses, stats.l2_misses])
-    _write_manifest(out, "sweep", base, [str(out)], started)
+    _write_manifest(out, "sweep", base, started)
     click.echo(f"wrote {out}")
 
 

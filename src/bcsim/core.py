@@ -43,10 +43,6 @@ class CacheGeometry:
             raise GeometryError(f"hit_cycles must be positive, got {self.hit_cycles}")
 
     @property
-    def capacity_bytes(self) -> int:
-        return self.line_bytes * self.num_sets * self.ways
-
-    @property
     def offset_bits(self) -> int:
         return self.line_bytes.bit_length() - 1
 
@@ -76,11 +72,6 @@ def compose(tag: int, set_index: int, geo: CacheGeometry, offset: int = 0) -> in
         raise CacheError(f"set index {set_index} out of range")
     addr = (tag << (geo.offset_bits + geo.index_bits)) | (set_index << geo.offset_bits) | offset
     return check_addr(addr)
-
-
-def line_addr(addr: int, geo: CacheGeometry) -> int:
-    """Line-aligned base address (offset bits cleared)."""
-    return addr & ~(geo.line_bytes - 1)
 
 
 class SetAssociativeCache:
@@ -121,7 +112,7 @@ class SetAssociativeCache:
         return tag in ways
 
     def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
-        """Install addr as MRU; returns (line_address, dirty) of the LRU victim if the set was full.
+        """Install addr as MRU; returns (line address, dirty) of the LRU victim if the set was full.
 
         The caller must have checked that addr is not already resident.
         """
@@ -155,9 +146,6 @@ class SetAssociativeCache:
             return False
         ways[tag] = True
         return True
-
-    def occupancy(self, set_index: int) -> int:
-        return len(self._sets[set_index])
 
     def state_tuple(self) -> tuple:
         """Canonical tag-array state: per set, (tag, dirty) of each valid way, oldest first."""

@@ -13,9 +13,6 @@ DEFAULT_SEED = 0xB4C4E
 MODE_BASELINE = "baseline"
 MODE_BACKUP = "backup"
 
-RESIZE_DYNAMIC = "dynamic"
-RESIZE_FIXED = "fixed"
-
 
 class ConfigError(CacheError):
     """Invalid simulator configuration."""
@@ -27,7 +24,8 @@ class SimConfig:
 
     In baseline mode the backup_* and resize fields are ignored. The miss
     path costs l2.hit_cycles on an L2 hit and additionally
-    memory_penalty_cycles on an L2 miss.
+    memory_penalty_cycles on an L2 miss. backup_max is also the backup
+    cache's physical size in lines; a fixed_threshold selects fixed resizing.
     """
 
     mode: str = MODE_BACKUP
@@ -35,12 +33,10 @@ class SimConfig:
         default_factory=lambda: CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3))
     l2: CacheGeometry = field(
         default_factory=lambda: CacheGeometry(line_bytes=64, num_sets=2048, ways=8, hit_cycles=20))
-    backup_capacity: int = 256
     backup_min: int = 192
     backup_max: int = 256
     memory_penalty_cycles: int = 100
     seed: int = DEFAULT_SEED
-    resize_mode: str = RESIZE_DYNAMIC
     fixed_threshold: Optional[int] = None
 
     def __post_init__(self):
@@ -51,15 +47,12 @@ class SimConfig:
         if self.memory_penalty_cycles < 1:
             raise ConfigError("memory_penalty_cycles must be positive")
         if self.mode == MODE_BACKUP:
-            if not 1 <= self.backup_min <= self.backup_max <= self.backup_capacity:
+            if not 1 <= self.backup_min <= self.backup_max:
                 raise ConfigError(
-                    f"need 1 <= backup_min <= backup_max <= backup_capacity, "
-                    f"got {self.backup_min}/{self.backup_max}/{self.backup_capacity}")
-            if self.resize_mode not in (RESIZE_DYNAMIC, RESIZE_FIXED):
-                raise ConfigError(f"unknown resize_mode {self.resize_mode!r}")
-            if self.resize_mode == RESIZE_FIXED:
-                if self.fixed_threshold is None or self.fixed_threshold < 1:
-                    raise ConfigError("fixed resize mode needs a positive fixed_threshold")
+                    f"need 1 <= backup_min <= backup_max, "
+                    f"got {self.backup_min}/{self.backup_max}")
+            if self.fixed_threshold is not None and self.fixed_threshold < 1:
+                raise ConfigError("fixed_threshold must be positive")
 
 
 def baseline_config(seed: int = DEFAULT_SEED) -> SimConfig:
@@ -72,7 +65,6 @@ def baseline_config(seed: int = DEFAULT_SEED) -> SimConfig:
 
 
 def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED,
-                  resize_mode: str = RESIZE_DYNAMIC,
                   fixed_threshold: Optional[int] = None) -> SimConfig:
     """Defended system: 4-way 16KB L1D at 3 cycles plus a 16KB backup cache.
 
@@ -82,11 +74,9 @@ def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED,
     line = 64
     return SimConfig(
         mode=MODE_BACKUP,
-        backup_capacity=max_kb * 1024 // line,
         backup_min=min_kb * 1024 // line,
         backup_max=max_kb * 1024 // line,
         seed=seed,
-        resize_mode=resize_mode,
         fixed_threshold=fixed_threshold,
     )
 
@@ -129,7 +119,6 @@ class Simulator:
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
             self.backup = BackupCache(
-                capacity=config.backup_capacity,
                 min_size=config.backup_min,
                 max_size=config.backup_max,
                 initial_size=size,
@@ -219,8 +208,8 @@ class Simulator:
     def _countdown(self, size: int) -> int:
         """The counter reload after sizing the backup to size: the size
         itself in dynamic mode, fixed_threshold in fixed mode."""
-        config = self.config
-        return size if config.resize_mode == RESIZE_DYNAMIC else config.fixed_threshold
+        threshold = self.config.fixed_threshold
+        return size if threshold is None else threshold
 
     def _count_access(self, writebacks: list[int]) -> Optional[tuple[int, int]]:
         """Count one access; when the counter runs out, resize the backup.

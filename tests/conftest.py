@@ -1,4 +1,5 @@
-"""Prints one [criterion N] PASS/FAIL line per acceptance test after the run."""
+"""Prints one [criterion N] PASS/FAIL line per acceptance test after the run,
+and holds the AES probe-map statistics the attack tests share."""
 
 import re
 
@@ -24,6 +25,20 @@ CRITERIA = {
        "times, non-increasing in the threshold; runtime overhead itself "
        "is not modeled",
 }
+
+
+def aes_set_mean_gap(result) -> float:
+    """Mean probe latency over touched (sample, set) cells minus untouched ones."""
+    touched_mean = float(result.latencies[result.touched].mean())
+    untouched_mean = float(result.latencies[~result.touched].mean())
+    return touched_mean - untouched_mean
+
+
+def aes_max_set_deviation(result) -> float:
+    """Largest absolute deviation of a per-set mean from the grand mean."""
+    set_means = result.latencies.mean(axis=0)
+    return float(abs(set_means - result.latencies.mean()).max())
+
 
 _verdicts = {}
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import aes_max_set_deviation, aes_set_mean_gap
+
 from bcsim.attacks import (
-    aes_max_set_deviation,
-    aes_set_mean_gap,
     build_eviction_set,
     classify_threshold,
     run_aes_attack,

@@ -9,9 +9,9 @@ from bcsim.backup import BackupCache
 from bcsim.core import CacheError
 
 
-def make_backup(capacity=16, min_size=4, max_size=16, size=None, seed=0):
+def make_backup(min_size=4, max_size=16, size=None, seed=0):
     size = max_size if size is None else size
-    return BackupCache(capacity, min_size, max_size, size, random.Random(seed))
+    return BackupCache(min_size, max_size, size, random.Random(seed))
 
 
 def addr(i):
@@ -27,7 +27,8 @@ def check_discipline(bc):
     for line in bc.lines:
         if not line.enabled:
             assert not line.valid
-    assert bc.enabled_count() == bc.current_size
+    assert sum(line.enabled for line in bc.lines) == bc.current_size
+    assert sum(line.valid for line in bc.lines) == len(bc._where)
 
 
 def test_empty_lookup_misses():
@@ -45,7 +46,7 @@ def test_lookup_sets_used_bit():
 
 
 def test_disabled_line_invisible():
-    bc = make_backup(capacity=8, min_size=1, max_size=8, size=8)
+    bc = make_backup(min_size=1, max_size=8, size=8)
     fill(bc, 8)
     bc.resize(1)
     survivors = [a for a in (addr(i) for i in range(8)) if bc.lookup(a)]
@@ -54,7 +55,7 @@ def test_disabled_line_invisible():
 
 
 def test_victim_prefers_invalid_line():
-    bc = make_backup(capacity=4, min_size=4, max_size=4)
+    bc = make_backup(min_size=4, max_size=4)
     fill(bc, 3)
     for a in (addr(0), addr(1), addr(2)):
         bc.lookup(a)  # used=1 everywhere valid
@@ -63,7 +64,7 @@ def test_victim_prefers_invalid_line():
 
 
 def test_victim_prefers_single_used_line():
-    bc = make_backup(capacity=4, min_size=4, max_size=4)
+    bc = make_backup(min_size=4, max_size=4)
     fill(bc, 4)
     bc.lookup(addr(2))
     for seed in range(20):
@@ -74,7 +75,7 @@ def test_victim_prefers_single_used_line():
 def test_victim_uniform_over_unused_lines():
     n = 8
     draws = 10_000
-    bc = make_backup(capacity=n, min_size=n, max_size=n, seed=123)
+    bc = make_backup(min_size=n, max_size=n, seed=123)
     fill(bc, n)
     counts = [0] * n
     for _ in range(draws):
@@ -86,13 +87,13 @@ def test_victim_uniform_over_unused_lines():
 
 
 def test_insert_uses_invalid_slot_first():
-    bc = make_backup(capacity=4, min_size=4, max_size=4)
+    bc = make_backup(min_size=4, max_size=4)
     fill(bc, 3)
     assert bc.insert(addr(9)) is None
 
 
 def test_insert_full_evicts_used_line():
-    bc = make_backup(capacity=4, min_size=4, max_size=4)
+    bc = make_backup(min_size=4, max_size=4)
     fill(bc, 4)
     bc.lookup(addr(1))
     evicted = bc.insert(addr(9))
@@ -108,7 +109,7 @@ def test_duplicate_insert_rejected():
 
 def test_insert_with_no_enabled_lines_faults():
     with pytest.raises(CacheError):
-        BackupCache(4, 0, 4, 0, random.Random(0))
+        BackupCache(0, 4, 0, random.Random(0))
 
 
 def test_clear_used_counts():
@@ -134,7 +135,7 @@ def test_resize_same_size_no_change():
 
 
 def test_resize_grow_enables_invalid_lines():
-    bc = BackupCache(256, 192, 256, 192, random.Random(1))
+    bc = BackupCache(192, 256, 192, random.Random(1))
     assert bc.resize(256) == []
     assert bc.current_size == 256
     grown = [line for line in bc.lines if line.enabled and not line.valid]
@@ -143,7 +144,7 @@ def test_resize_grow_enables_invalid_lines():
 
 
 def test_resize_shrink_writes_back_dirty_victims():
-    bc = BackupCache(256, 192, 256, 256, random.Random(2))
+    bc = BackupCache(192, 256, 256, random.Random(2))
     fill(bc, 256)
     dirty = {addr(i) for i in (3, 50, 99, 180, 255)}
     for a in dirty:
@@ -160,7 +161,7 @@ def test_resize_shrink_writes_back_dirty_victims():
 
 
 def test_resize_out_of_bounds_faults():
-    bc = make_backup(capacity=16, min_size=4, max_size=12, size=8)
+    bc = make_backup(min_size=4, max_size=12, size=8)
     with pytest.raises(CacheError):
         bc.resize(3)
     with pytest.raises(CacheError):
@@ -176,7 +177,7 @@ def test_invalidate_semantics():
 
 
 def test_invalidate_then_insert_reuses_slot():
-    bc = make_backup(capacity=4, min_size=4, max_size=4)
+    bc = make_backup(min_size=4, max_size=4)
     fill(bc, 4)
     slot = bc._where[addr(2)]
     bc.invalidate(addr(2))
@@ -208,7 +209,7 @@ def test_determinism_identical_seeds():
 def test_protection_property_randomized():
     """A used=0 line is never evicted while a used=1 line exists (no invalid slots)."""
     rng = random.Random(99)
-    bc = make_backup(capacity=8, min_size=8, max_size=8, seed=5)
+    bc = make_backup(min_size=8, max_size=8, seed=5)
     fill(bc, 8)
     next_addr = 100
     for _ in range(2000):
@@ -233,7 +234,7 @@ def test_full_associativity_slot_independent():
     base = None
     for seed in range(5):
         # different seeds scatter lines over different slots
-        bc = make_backup(capacity=8, min_size=8, max_size=8, seed=seed)
+        bc = make_backup(min_size=8, max_size=8, seed=seed)
         for i in range(8):
             bc.insert(addr(i))
         assert len({bc._where[addr(i)] for i in range(8)}) == 8
@@ -268,7 +269,7 @@ OPS = st.sampled_from(["lookup", "write_touch", "insert", "invalidate", "clear_u
 def test_tier_lists_track_line_bits(seed, ops):
     """After every operation the tier lists equal a scan of the lines, and a
     victim draw picks the same slot as a scan-based chooser on the same RNG state."""
-    bc = make_backup(capacity=16, min_size=2, max_size=12, size=7, seed=seed)
+    bc = make_backup(min_size=2, max_size=12, size=7, seed=seed)
     for op, arg in ops:
         a = addr(arg)
         if op == "clear_used":

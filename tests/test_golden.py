@@ -5,7 +5,8 @@ Each case is a (config, trace, seed) triple. Its trace is generated here
 from a fixed seed, so the frozen values pin the simulator's exact
 behaviour, RNG stream included, across builds rather than only across
 reruns of one build. The values must change only in a change that means
-to alter outputs; re-record them with `python tests/test_golden.py`.
+to alter outputs; re-record them with
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
@@ -22,8 +23,8 @@ from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_STORE, parse_trace
 CONFIGS = {
     "baseline": "mode: baseline\nl1d: {line_bytes: 64, sets: 128, ways: 4, hit_cycles: 2}\n",
     "bc_12_16": "",
-    "bc_4_16": "backup: {capacity_lines: 256, min_lines: 64, max_lines: 256}\n",
-    "fixed_97": "resize: {mode: fixed, threshold: 97}\n",
+    "bc_4_16": "backup: {min_lines: 64, max_lines: 256}\n",
+    "fixed_97": "resize: {threshold: 97}\n",
 }
 
 # name: (config, trace seed, P(CS) per record, P(INV) per record, simulator seed)

@@ -7,7 +7,6 @@ from bcsim.core import CacheGeometry, SetAssociativeCache, compose
 from bcsim.simulator import (
     MODE_BACKUP,
     MODE_BASELINE,
-    RESIZE_FIXED,
     ConfigError,
     SimConfig,
     Simulator,
@@ -18,9 +17,8 @@ from bcsim.simulator import (
 GEO = SimConfig().l1d
 
 
-def pinned_config(size=192, seed=0, capacity=256):
-    return SimConfig(mode=MODE_BACKUP, backup_capacity=capacity,
-                     backup_min=size, backup_max=size, seed=seed)
+def pinned_config(size=192, seed=0):
+    return SimConfig(mode=MODE_BACKUP, backup_min=size, backup_max=size, seed=seed)
 
 
 def test_config_rejects_bad_backup_range():
@@ -34,8 +32,9 @@ def test_config_rejects_mismatched_line_sizes():
 
 
 def test_config_fixed_mode_needs_threshold():
-    with pytest.raises(ConfigError):
-        SimConfig(resize_mode=RESIZE_FIXED)
+    for threshold in (0, -5):
+        with pytest.raises(ConfigError, match="fixed_threshold must be positive"):
+            SimConfig(fixed_threshold=threshold)
 
 
 def test_init_degenerate_range():
@@ -55,7 +54,7 @@ def test_init_size_uniform_over_range():
         l2=CacheGeometry(line_bytes=64, num_sets=4, ways=1, hit_cycles=20))
     for seed in range(draws):
         cfg = SimConfig(mode=MODE_BACKUP, l1d=small.l1d, l2=small.l2,
-                        backup_capacity=hi, backup_min=lo, backup_max=hi, seed=seed)
+                        backup_min=lo, backup_max=hi, seed=seed)
         counts[Simulator(cfg).backup.current_size] += 1
     expect = draws / n
     sigma = math.sqrt(draws * (1 / n) * (1 - 1 / n))
@@ -64,7 +63,7 @@ def test_init_size_uniform_over_range():
 
 
 def test_init_fixed_threshold_counter():
-    cfg = SimConfig(resize_mode=RESIZE_FIXED, fixed_threshold=200)
+    cfg = SimConfig(fixed_threshold=200)
     sim = Simulator(cfg)
     assert sim.mem_access_count == 200
 
@@ -221,7 +220,7 @@ def test_resize_cadence_dynamic():
 
 
 def test_resize_cadence_fixed():
-    cfg = SimConfig(mode=MODE_BACKUP, resize_mode=RESIZE_FIXED, fixed_threshold=200, seed=5)
+    cfg = SimConfig(mode=MODE_BACKUP, fixed_threshold=200, seed=5)
     sim = Simulator(cfg)
     resizes = 0
     for i in range(1000):
@@ -261,7 +260,10 @@ def test_no_duplicate_residency():
             for ways in sim.l1d.state_tuple():
                 tags = [tag for tag, _ in ways]
                 assert len(tags) == len(set(tags))
-            assert len(sim.backup._where) == sim.backup.valid_count()
+            valid = [(line.addr, slot) for slot, line in enumerate(sim.backup.lines)
+                     if line.valid]
+            assert len(valid) == len(sim.backup._where)
+            assert dict(valid) == sim.backup._where
 
 
 def test_l2_untouched_by_backup_churn():
