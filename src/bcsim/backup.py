@@ -98,7 +98,8 @@ class BackupCache:
         """Tiered random victim choice among enabled lines."""
         for tier in (self.invalid, self.used1, self.used0):
             if tier:
-                return tier[self.rng.randrange(len(tier))]
+                # choice(tier) draws the same slot as tier[randrange(len(tier))].
+                return self.rng.choice(tier)
         raise CacheError("no enabled line to select a victim from")
 
     def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
@@ -108,6 +109,16 @@ class BackupCache:
         """
         if addr in self._where:
             raise CacheError(f"insert of already-resident address {addr:#x}")
+        return self._place(addr, dirty)
+
+    def absorb(self, addr: int) -> Optional[tuple[int, bool]]:
+        """Take in a line the L1D evicted: install it clean unless it is
+        already resident. Returns the displaced (address, dirty) pair, if any."""
+        if addr in self._where:
+            return None
+        return self._place(addr, False)
+
+    def _place(self, addr: int, dirty: bool) -> Optional[tuple[int, bool]]:
         slot = self.select_victim()
         line = self.lines[slot]
         tier = self._tier(line)

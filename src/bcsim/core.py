@@ -80,23 +80,27 @@ class SetAssociativeCache:
     Data payloads are not modeled; hit/miss, dirtiness, and evicted
     line addresses are the only observables the simulator needs.
     A set evicts only when all of its ways are valid.
+
+    Each public method checks its address. The simulator, which checks an
+    address once per access, instead indexes sets directly: addr's set is
+    sets[(addr >> offset_bits) & index_mask] and its tag is addr >> tag_shift.
     """
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self._num_ways = geometry.ways
-        self._offset_bits = geometry.offset_bits
-        self._index_mask = geometry.num_sets - 1
-        self._tag_shift = geometry.offset_bits + geometry.index_bits
+        self.num_ways = geometry.ways
+        self.offset_bits = geometry.offset_bits
+        self.index_mask = geometry.num_sets - 1
+        self.tag_shift = geometry.offset_bits + geometry.index_bits
         # Address bits that select the set, kept when rebuilding a victim's address.
-        self._index_field = self._index_mask << self._offset_bits
+        self.index_field = self.index_mask << self.offset_bits
         # Each set maps tag -> dirty in recency order, least recently used first.
-        self._sets: list[dict[int, bool]] = [{} for _ in range(geometry.num_sets)]
+        self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.num_sets)]
 
     def _locate(self, addr: int) -> tuple[dict[int, bool], int]:
         """The set holding addr and addr's tag."""
         check_addr(addr)
-        return self._sets[(addr >> self._offset_bits) & self._index_mask], addr >> self._tag_shift
+        return self.sets[(addr >> self.offset_bits) & self.index_mask], addr >> self.tag_shift
 
     def lookup(self, addr: int) -> bool:
         """Probe for addr; on hit the line becomes most recently used."""
@@ -120,9 +124,9 @@ class SetAssociativeCache:
         if tag in ways:
             raise CacheError(f"insert of already-resident address {addr:#x}")
         evicted = None
-        if len(ways) == self._num_ways:
+        if len(ways) == self.num_ways:
             victim = next(iter(ways))
-            evicted = ((victim << self._tag_shift) | (addr & self._index_field), ways.pop(victim))
+            evicted = ((victim << self.tag_shift) | (addr & self.index_field), ways.pop(victim))
         ways[tag] = dirty
         return evicted
 
@@ -149,4 +153,4 @@ class SetAssociativeCache:
 
     def state_tuple(self) -> tuple:
         """Canonical tag-array state: per set, (tag, dirty) of each valid way, oldest first."""
-        return tuple(tuple(ways.items()) for ways in self._sets)
+        return tuple(tuple(ways.items()) for ways in self.sets)

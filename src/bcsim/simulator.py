@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .backup import BackupCache
-from .core import CacheError, CacheGeometry, SetAssociativeCache
+from .core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, check_addr
 
 DEFAULT_SEED = 0xB4C4E
 
@@ -113,6 +113,8 @@ class Simulator:
         # The countdown register: memory accesses left until the next resize.
         self.mem_access_count: Optional[int] = None
         self._l1_hit_cycles = config.l1d.hit_cycles
+        self._l2_hit_cycles = config.l2.hit_cycles
+        self._l2_miss_cycles = config.l2.hit_cycles + config.memory_penalty_cycles
         # Outcomes are immutable, so every baseline L1 hit can share one.
         self._l1_hit_outcome = AccessOutcome("10", config.l1d.hit_cycles)
         self._line_mask = ~(config.l1d.line_bytes - 1)
@@ -135,28 +137,34 @@ class Simulator:
         return self.access(addr, store=True)
 
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
-        l1d, backup = self.l1d, self.backup
+        # The one address check of an access: the paths below index the
+        # L1D and L2 sets directly.
+        if not 0 <= addr < ADDR_LIMIT:
+            check_addr(addr)
+        l1d = self.l1d
+        ways = l1d.sets[(addr >> l1d.offset_bits) & l1d.index_mask]
+        tag = addr >> l1d.tag_shift
+        # An L1D hit makes the line most recently used, and a store dirties it.
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
+            ways[tag] = True if store else dirty
+        backup = self.backup
         if backup is None:
-            if l1d.lookup(addr):
-                if store:
-                    l1d.write_touch(addr)
+            if dirty is not None:
                 return self._l1_hit_outcome
             writebacks: list[int] = []
             latency, l2_hit = self._fetch_from_l2(addr)
-            eviction = self._install_l1(addr, store, writebacks)
+            eviction = self._install_l1(ways, tag, addr, store, writebacks)
             return AccessOutcome("00", latency, eviction, tuple(writebacks), None, l2_hit)
         la = addr & self._line_mask
-        l1_hit = l1d.lookup(addr)
         bu_hit = backup.lookup(la)
         writebacks = []
         eviction = l2_hit = None
-        if l1_hit:
+        if dirty is not None:
             case = "11" if bu_hit else "10"
             latency = self._l1_hit_cycles
-            if store:
-                l1d.write_touch(addr)
-                if bu_hit:
-                    backup.write_touch(la)
+            if store and bu_hit:
+                backup.write_touch(la)
         elif bu_hit:
             case = "01"
             latency = self._l1_hit_cycles
@@ -164,46 +172,64 @@ class Simulator:
                 backup.write_touch(la)
             # Line fill into L1 happens after the response; the backup keeps
             # its copy, so the L1 copy is installed clean.
-            eviction = self._install_l1(addr, False, writebacks)
+            eviction = self._install_l1(ways, tag, addr, False, writebacks)
         else:
             case = "00"
             latency, l2_hit = self._fetch_from_l2(addr)
-            eviction = self._install_l1(addr, store, writebacks)
-        resized = self._count_access(writebacks)
+            eviction = self._install_l1(ways, tag, addr, store, writebacks)
+        self.mem_access_count -= 1
+        resized = self._resize(writebacks) if self.mem_access_count <= 0 else None
         return AccessOutcome(case, latency, eviction, tuple(writebacks), resized, l2_hit)
 
-    def _install_l1(self, addr: int, dirty: bool, writebacks: list[int]) -> Optional[int]:
-        """Install into L1D and return the displaced line's address, if any.
+    def _install_l1(self, ways: dict[int, bool], tag: int, addr: int, dirty: bool,
+                    writebacks: list[int]) -> Optional[int]:
+        """Install addr (tag in the L1D set ways) as MRU; return the displaced line's address.
 
         A displaced dirty line is written back (and appended to writebacks);
         with a backup cache, the displaced line is then placed there clean.
         """
-        evicted = self.l1d.insert(addr, dirty)
-        if evicted is None:
+        l1d = self.l1d
+        if len(ways) < l1d.num_ways:
+            ways[tag] = dirty
             return None
-        ev_addr, ev_dirty = evicted
+        victim = next(iter(ways))
+        ev_dirty = ways.pop(victim)
+        ev_addr = (victim << l1d.tag_shift) | (addr & l1d.index_field)
+        ways[tag] = dirty
         if ev_dirty:
             self._write_back(ev_addr)
             writebacks.append(ev_addr)
-        backup = self.backup
-        if backup is not None and not backup.contains(ev_addr):
-            displaced = backup.insert(ev_addr, dirty=False)
+        if self.backup is not None:
+            displaced = self.backup.absorb(ev_addr)
             if displaced is not None and displaced[1]:
                 self._write_back(displaced[0])
                 writebacks.append(displaced[0])
         return ev_addr
 
     def _fetch_from_l2(self, addr: int) -> tuple[int, bool]:
-        if self.l2.lookup(addr):
-            return self.config.l2.hit_cycles, True
-        self.l2.insert(addr, dirty=False)
-        return self.config.l2.hit_cycles + self.config.memory_penalty_cycles, False
+        """Look addr up in the L2, allocating it clean on a miss; returns (latency, hit)."""
+        l2 = self.l2
+        ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
+        tag = addr >> l2.tag_shift
+        dirty = ways.pop(tag, None)
+        if dirty is not None:
+            ways[tag] = dirty
+            return self._l2_hit_cycles, True
+        if len(ways) == l2.num_ways:
+            # The LRU victim is dropped: memory traffic is not modeled.
+            del ways[next(iter(ways))]
+        ways[tag] = False
+        return self._l2_miss_cycles, False
 
     def _write_back(self, addr: int) -> None:
         # Non-allocating: update the dirty bit if the L2 holds the line,
         # otherwise the write-back goes straight to memory. Recency in the
         # L2 is deliberately left untouched.
-        self.l2.mark_dirty(addr)
+        l2 = self.l2
+        ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
+        tag = addr >> l2.tag_shift
+        if tag in ways:
+            ways[tag] = True
 
     def _countdown(self, size: int) -> int:
         """The counter reload after sizing the backup to size: the size
@@ -211,15 +237,12 @@ class Simulator:
         threshold = self.config.fixed_threshold
         return size if threshold is None else threshold
 
-    def _count_access(self, writebacks: list[int]) -> Optional[tuple[int, int]]:
-        """Count one access; when the counter runs out, resize the backup.
+    def _resize(self, writebacks: list[int]) -> tuple[int, int]:
+        """Resize the backup once the access counter runs out.
 
-        Returns (old size, new size) on a resize, appending the lines the
-        shrink wrote back to writebacks.
+        Returns (old size, new size), appending the lines the shrink wrote
+        back to writebacks.
         """
-        self.mem_access_count -= 1
-        if self.mem_access_count > 0:
-            return None
         old = self.backup.current_size
         new = self.rng.randint(self.config.backup_min, self.config.backup_max)
         self.mem_access_count = self._countdown(new)

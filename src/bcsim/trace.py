@@ -4,7 +4,6 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from .core import ADDR_LIMIT
 from .simulator import Simulator
 
 KIND_LOAD = "load"
@@ -12,6 +11,7 @@ KIND_STORE = "store"
 KIND_CTXSWITCH = "ctxswitch"
 KIND_INVALIDATE = "invalidate"
 
+# At most 12 hex digits, so every address fits the 48-bit physical space.
 _HEXADDR = re.compile(r"0x[0-9a-fA-F]{1,12}\Z")
 _OPCODES = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
 
@@ -47,10 +47,7 @@ def parse_line(lineno: int, line: str) -> Optional[TraceRecord]:
         raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
     if not _HEXADDR.match(text):
         raise TraceError(lineno, f"bad address {text!r}")
-    addr = int(text, 16)
-    if addr >= ADDR_LIMIT:
-        raise TraceError(lineno, f"address {text} outside 48-bit space")
-    return TraceRecord(kind=_OPCODES[op], addr=addr)
+    return TraceRecord(kind=_OPCODES[op], addr=int(text, 16))
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceRecord]:

@@ -10,6 +10,7 @@ to alter outputs; re-record them with
 """
 
 import hashlib
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -105,7 +106,12 @@ GOLDEN = {
     "baseline": {
         "stats": {
             "accesses": 3981,
-            "case_counts": {"00": 1523, "01": 0, "10": 2458, "11": 0},
+            "case_counts": {
+                "00": 1523,
+                "01": 0,
+                "10": 2458,
+                "11": 0
+            },
             "l1d_hits": 2458,
             "l1d_misses": 1523,
             "backup_hits": 0,
@@ -126,7 +132,12 @@ GOLDEN = {
     "bc_12_16": {
         "stats": {
             "accesses": 3963,
-            "case_counts": {"00": 1566, "01": 744, "10": 1623, "11": 30},
+            "case_counts": {
+                "00": 1566,
+                "01": 744,
+                "10": 1623,
+                "11": 30
+            },
             "l1d_hits": 1653,
             "l1d_misses": 2310,
             "backup_hits": 774,
@@ -147,7 +158,12 @@ GOLDEN = {
     "bc_4_16": {
         "stats": {
             "accesses": 3967,
-            "case_counts": {"00": 1705, "01": 655, "10": 1504, "11": 103},
+            "case_counts": {
+                "00": 1705,
+                "01": 655,
+                "10": 1504,
+                "11": 103
+            },
             "l1d_hits": 1607,
             "l1d_misses": 2360,
             "backup_hits": 758,
@@ -168,7 +184,12 @@ GOLDEN = {
     "cs_heavy": {
         "stats": {
             "accesses": 3780,
-            "case_counts": {"00": 1505, "01": 749, "10": 1488, "11": 38},
+            "case_counts": {
+                "00": 1505,
+                "01": 749,
+                "10": 1488,
+                "11": 38
+            },
             "l1d_hits": 1526,
             "l1d_misses": 2254,
             "backup_hits": 787,
@@ -189,7 +210,12 @@ GOLDEN = {
     "fixed_resize": {
         "stats": {
             "accesses": 3965,
-            "case_counts": {"00": 1500, "01": 815, "10": 1618, "11": 32},
+            "case_counts": {
+                "00": 1500,
+                "01": 815,
+                "10": 1618,
+                "11": 32
+            },
             "l1d_hits": 1650,
             "l1d_misses": 2315,
             "backup_hits": 847,
@@ -210,7 +236,12 @@ GOLDEN = {
     "inv_heavy": {
         "stats": {
             "accesses": 3417,
-            "case_counts": {"00": 1605, "01": 494, "10": 1237, "11": 81},
+            "case_counts": {
+                "00": 1605,
+                "01": 494,
+                "10": 1237,
+                "11": 81
+            },
             "l1d_hits": 1318,
             "l1d_misses": 2099,
             "backup_hits": 575,
@@ -307,16 +338,28 @@ def test_outcome_stream(name, tmp_path):
     assert outcome_stream_sha256(name, tmp_path) == STREAM_SHA256[name]
 
 
+def render(name: str, value: dict) -> str:
+    """The source text of one golden table, as the re-record prints it."""
+    return f"{name} = {json.dumps(value, indent=4)}\n"
+
+
+def test_golden_tables_in_printed_layout():
+    """A re-record then changes only the lines whose values moved."""
+    source = Path(__file__).read_text()
+    for name, value in (("GOLDEN", GOLDEN), ("SWEEP_SHA256", SWEEP_SHA256),
+                        ("STREAM_SHA256", STREAM_SHA256)):
+        assert render(name, value) in source
+
+
 if __name__ == "__main__":
     import contextlib
     import io
-    import json
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         observed = {name: observe(name, Path(tmp)) for name in sorted(CASES)}
         sweeps = {name: sweep_sha256(name, Path(tmp)) for name in sorted(CASES)
                   if name != "baseline"}
         streams = {name: outcome_stream_sha256(name, Path(tmp)) for name in sorted(STREAMS)}
-    print("GOLDEN = " + json.dumps(observed, indent=4))
-    print("SWEEP_SHA256 = " + json.dumps(sweeps, indent=4))
-    print("STREAM_SHA256 = " + json.dumps(streams, indent=4))
+    print(render("GOLDEN", observed), end="")
+    print(render("SWEEP_SHA256", sweeps), end="")
+    print(render("STREAM_SHA256", streams), end="")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bcsim.core import CacheGeometry, SetAssociativeCache, compose
+from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, compose
 from bcsim.simulator import (
     MODE_BACKUP,
     MODE_BASELINE,
@@ -253,10 +253,12 @@ def test_latency_by_case_invariant():
 def test_no_duplicate_residency():
     sim = Simulator(SimConfig(seed=22))
     rng = random.Random(2)
-    pool = [compose(t, s, GEO) for t in range(12) for s in range(8)]
+    # 384 lines in 8 sets: more than the L1D's 32 ways there plus the
+    # backup's 256 lines, so the backup evicts valid lines.
+    pool = [compose(t, s, GEO) for t in range(48) for s in range(8)]
     for i in range(5_000):
         sim.access(rng.choice(pool), store=rng.random() < 0.3)
-        if i % 500 == 0:
+        if i % 250 == 0:
             for ways in sim.l1d.state_tuple():
                 tags = [tag for tag, _ in ways]
                 assert len(tags) == len(set(tags))
@@ -264,6 +266,20 @@ def test_no_duplicate_residency():
                      if line.valid]
             assert len(valid) == len(sim.backup._where)
             assert dict(valid) == sim.backup._where
+
+
+@pytest.mark.parametrize("config", [baseline_config(), SimConfig()], ids=["baseline", "backup"])
+@pytest.mark.parametrize("bad", [-64, ADDR_LIMIT])
+@pytest.mark.parametrize("call", ["access", "load", "store", "external_invalidate"])
+def test_out_of_range_address_rejected_before_any_change(config, bad, call):
+    sim = Simulator(config)
+    for i in range(600):
+        sim.access(i * 64 % 40_000, store=i % 3 == 0)
+    digest, rng_state = sim.state_digest(), sim.rng.getstate()
+    with pytest.raises(CacheError, match="outside 48-bit"):
+        getattr(sim, call)(bad)
+    assert sim.state_digest() == digest
+    assert sim.rng.getstate() == rng_state
 
 
 def test_l2_untouched_by_backup_churn():

@@ -92,8 +92,9 @@ def test_parse_unknown_opcode_is_error():
 
 
 def test_parse_rejects_address_too_wide():
-    with pytest.raises(TraceError):
-        parse_trace(["R 0x1000000000000\n"])  # 13 hex digits
+    assert parse_trace(["R 0xffffffffffff\n"])[0].addr == (1 << 48) - 1
+    with pytest.raises(TraceError, match=r"^line 2: bad address '0x1000000000000'$"):
+        parse_trace(["R 0x10\n", "R 0x1000000000000\n"])  # 13 hex digits
 
 
 def test_parse_rejects_missing_operand():
