@@ -1,4 +1,4 @@
-"""Fully associative backup cache with used/enabled bits and randomized victim selection."""
+"""Fully associative, resizable backup cache with used bits and randomized victim selection."""
 
 import random
 from bisect import bisect_left, insort
@@ -8,33 +8,35 @@ from .core import CacheError
 
 
 class _BackupLine:
-    __slots__ = ("valid", "dirty", "used", "enabled", "addr")
+    __slots__ = ("valid", "dirty", "used", "addr")
 
     def __init__(self):
         self.valid = False
         self.dirty = False
         self.used = False
-        self.enabled = False
         self.addr = 0
 
 
 class BackupCache:
     """Eviction-absorbing cache at L1 level.
 
-    Per line, beyond valid/dirty:
-      * used    -- set when the line is accessed again after installation;
-                   cleared in bulk at context switches.
-      * enabled -- gates participation; disabled lines never hold data and
-                   are invisible to lookups.
+    Per line, beyond valid/dirty, a used bit is set when the line is
+    accessed again after installation and cleared in bulk at context
+    switches.
 
-    Victim selection is tiered: enabled invalid lines first, then a uniform
-    random draw among enabled lines with used=1, then among those with
-    used=0. The number of enabled lines can be resized between min_size
-    and max_size, the physical number of lines.
+    Every physical slot sits in exactly one of four slot lists, each kept
+    in ascending slot order and updated on every state change:
+      * disabled -- slots outside the enabled size; they never hold data
+                    and are invisible to lookups;
+      * invalid  -- enabled slots holding no line;
+      * used1    -- enabled slots holding a line with used=1;
+      * used0    -- enabled slots holding a line with used=0.
 
-    Each enabled slot sits in exactly one of the tier lists invalid, used1
-    and used0, kept in ascending slot order and updated on every state
-    change, so a victim draw indexes a list instead of scanning the lines.
+    Victim selection is tiered: an invalid slot first, then a uniform
+    random draw among used1, then among used0; a draw indexes a list
+    instead of scanning the lines. The enabled size, max_size minus the
+    disabled slots, can be resized between min_size and max_size, the
+    physical number of lines.
     """
 
     def __init__(self, min_size: int, max_size: int, initial_size: int,
@@ -49,13 +51,16 @@ class BackupCache:
         self.max_size = max_size
         self.rng = rng
         self.lines = [_BackupLine() for _ in range(max_size)]
-        for line in self.lines[:initial_size]:
-            line.enabled = True
-        self.current_size = initial_size
         self._where: dict[int, int] = {}
+        self.disabled = list(range(initial_size, max_size))
         self.invalid = list(range(initial_size))
         self.used1: list[int] = []
         self.used0: list[int] = []
+
+    @property
+    def current_size(self) -> int:
+        """The number of enabled lines."""
+        return self.max_size - len(self.disabled)
 
     def _tier(self, line: _BackupLine) -> list[int]:
         """The tier list holding an enabled line's slot."""
@@ -135,15 +140,25 @@ class BackupCache:
         self._where[addr] = slot
         return evicted
 
+    def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
+        """Clear an enabled slot's line and move the slot to dst (invalid or
+        disabled); returns the line's address if it held dirty data."""
+        line = self.lines[slot]
+        self._move(slot, self._tier(line), dst)
+        dirty_addr = None
+        if line.valid:
+            del self._where[line.addr]
+            if line.dirty:
+                dirty_addr = line.addr
+        line.valid = line.dirty = line.used = False
+        return dirty_addr
+
     def invalidate(self, addr: int) -> bool:
-        slot = self._where.pop(addr, None)
+        """Drop the line if resident; dirty contents are discarded."""
+        slot = self._where.get(addr)
         if slot is None:
             return False
-        line = self.lines[slot]
-        self._move(slot, self._tier(line), self.invalid)
-        line.valid = False
-        line.dirty = False
-        line.used = False
+        self._empty(slot, self.invalid)
         return True
 
     def clear_used(self) -> int:
@@ -158,41 +173,26 @@ class BackupCache:
     def resize(self, new_size: int) -> list[int]:
         """Change the enabled-line count; returns dirty victims needing write-back.
 
-        Growing enables currently disabled (hence invalid) lines. Shrinking
+        Growing enables the lowest disabled (hence invalid) slots. Shrinking
         picks victims with the normal tiered policy, invalidates them, and
         disables their slots.
         """
         if not self.min_size <= new_size <= self.max_size:
             raise CacheError(f"new size {new_size} outside [{self.min_size}, {self.max_size}]")
         writebacks: list[int] = []
-        if new_size > self.current_size:
-            needed = new_size - self.current_size
-            for slot, line in enumerate(self.lines):
-                if needed == 0:
-                    break
-                if not line.enabled:
-                    line.enabled = True
-                    insort(self.invalid, slot)
-                    needed -= 1
-        elif new_size < self.current_size:
-            for _ in range(self.current_size - new_size):
-                slot = self.select_victim()
-                line = self.lines[slot]
-                tier = self._tier(line)
-                del tier[bisect_left(tier, slot)]
-                if line.valid:
-                    if line.dirty:
-                        writebacks.append(line.addr)
-                    del self._where[line.addr]
-                line.valid = False
-                line.dirty = False
-                line.used = False
-                line.enabled = False
-        self.current_size = new_size
+        change = new_size - self.current_size
+        if change > 0:
+            self.invalid = sorted(self.invalid + self.disabled[:change])
+            del self.disabled[:change]
+        for _ in range(-change):
+            dirty_addr = self._empty(self.select_victim(), self.disabled)
+            if dirty_addr is not None:
+                writebacks.append(dirty_addr)
         return writebacks
 
     def state_tuple(self) -> tuple:
+        disabled = set(self.disabled)
         return tuple(
-            (line.valid, line.dirty, line.used, line.enabled, line.addr)
-            for line in self.lines
+            (line.valid, line.dirty, line.used, slot not in disabled, line.addr)
+            for slot, line in enumerate(self.lines)
         )

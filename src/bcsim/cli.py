@@ -139,10 +139,11 @@ def _require(ok, message: str):
     return check
 
 
-# Every command's --out option, one check of its directory for all of them.
+# Every command's --out option, one check of its path for all of them.
 _out_option = functools.partial(
     click.option, "--out", "out_path", type=click.Path(dir_okay=False), required=True,
-    callback=_require(lambda v: Path(v).parent.is_dir(), "directory of {} does not exist"))
+    callback=_require(lambda v: v and Path(v).parent.is_dir(),
+                      "{!r} is not a file path in an existing directory"))
 
 
 @click.group()
@@ -223,17 +224,23 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
     click.echo(f"wrote {out}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("-")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise click.UsageError(f"bad range {text!r}, expected MIN_KB-MAX_KB") from exc
+def _kb_ranges(ctx, param, texts):
+    """Parse each --range as (text, MIN_KB, MAX_KB), a usage error before any work."""
+    ranges = []
+    for text in texts:
+        try:
+            lo, hi = map(int, text.split("-"))
+        except ValueError:
+            raise click.BadParameter(f"{text!r} is not MIN_KB-MAX_KB") from None
+        if lo > hi:
+            raise click.BadParameter(f"{text!r} has MIN_KB > MAX_KB")
+        ranges.append((text, lo, hi))
+    return ranges
 
 
 @cli.command("analyze")
 @click.option("--range", "ranges", multiple=True, default=("12-16", "8-16", "4-16"),
-              help="Backup size range in KB, e.g. 12-16. Repeatable.")
+              callback=_kb_ranges, help="Backup size range in KB, e.g. 12-16. Repeatable.")
 @click.option("--line-bytes", type=click.IntRange(min=1), default=64)
 @click.option("--p", "p_bias", type=float, default=0.5,
               callback=_require(lambda p: 0 <= p <= 1, "{} is not in [0, 1]"),  # NaN fails too
@@ -246,8 +253,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
     """Closed-form attacker success probabilities with a Monte Carlo check."""
     rows = [["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]]
-    for r in ranges:
-        lo_kb, hi_kb = _parse_range(r)
+    for r, lo_kb, hi_kb in ranges:
         b_min = lo_kb * 1024 // line_bytes
         b_max = hi_kb * 1024 // line_bytes
         closed = f"{p_avg(b_min, b_max):.6f}"

@@ -87,7 +87,6 @@ class SetAssociativeCache:
     """
 
     def __init__(self, geometry: CacheGeometry):
-        self.geometry = geometry
         self.num_ways = geometry.ways
         self.offset_bits = geometry.offset_bits
         self.index_mask = geometry.num_sets - 1
@@ -144,7 +143,11 @@ class SetAssociativeCache:
         return True
 
     def mark_dirty(self, addr: int) -> bool:
-        """Set the dirty bit without changing recency (write-back sink)."""
+        """Write-back sink: set the dirty bit if addr is resident, else report a miss.
+
+        Non-allocating: a write-back of a line the cache does not hold goes
+        straight to memory. Recency is deliberately left untouched.
+        """
         ways, tag = self._locate(addr)
         if tag not in ways:
             return False

@@ -157,19 +157,16 @@ class Simulator:
             eviction = self._install_l1(ways, tag, addr, store, writebacks)
             return AccessOutcome("00", latency, eviction, tuple(writebacks), None, l2_hit)
         la = addr & self._line_mask
-        bu_hit = backup.lookup(la)
+        # One BC probe: a hit marks the line re-used, and a store dirties it.
+        bu_hit = backup.write_touch(la) if store else backup.lookup(la)
         writebacks = []
         eviction = l2_hit = None
         if dirty is not None:
             case = "11" if bu_hit else "10"
             latency = self._l1_hit_cycles
-            if store and bu_hit:
-                backup.write_touch(la)
         elif bu_hit:
             case = "01"
             latency = self._l1_hit_cycles
-            if store:
-                backup.write_touch(la)
             # Line fill into L1 happens after the response; the backup keeps
             # its copy, so the L1 copy is installed clean.
             eviction = self._install_l1(ways, tag, addr, False, writebacks)
@@ -197,12 +194,12 @@ class Simulator:
         ev_addr = (victim << l1d.tag_shift) | (addr & l1d.index_field)
         ways[tag] = dirty
         if ev_dirty:
-            self._write_back(ev_addr)
+            self.l2.mark_dirty(ev_addr)
             writebacks.append(ev_addr)
         if self.backup is not None:
             displaced = self.backup.absorb(ev_addr)
             if displaced is not None and displaced[1]:
-                self._write_back(displaced[0])
+                self.l2.mark_dirty(displaced[0])
                 writebacks.append(displaced[0])
         return ev_addr
 
@@ -221,16 +218,6 @@ class Simulator:
         ways[tag] = False
         return self._l2_miss_cycles, False
 
-    def _write_back(self, addr: int) -> None:
-        # Non-allocating: update the dirty bit if the L2 holds the line,
-        # otherwise the write-back goes straight to memory. Recency in the
-        # L2 is deliberately left untouched.
-        l2 = self.l2
-        ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
-        tag = addr >> l2.tag_shift
-        if tag in ways:
-            ways[tag] = True
-
     def _countdown(self, size: int) -> int:
         """The counter reload after sizing the backup to size: the size
         itself in dynamic mode, fixed_threshold in fixed mode."""
@@ -247,7 +234,7 @@ class Simulator:
         new = self.rng.randint(self.config.backup_min, self.config.backup_max)
         self.mem_access_count = self._countdown(new)
         for wb in self.backup.resize(new):
-            self._write_back(wb)
+            self.l2.mark_dirty(wb)
             writebacks.append(wb)
         return old, new
 

@@ -146,13 +146,14 @@ def test_criterion_8_randomized_state_machine():
         ops = []
         for i in range(120_000):
             if i % 20 == 0:
-                used = sum(1 for ln in sim.backup.lines if ln.valid and ln.used)
-                invalid = sum(1 for ln in sim.backup.lines if ln.enabled and not ln.valid)
+                state = sim.backup.state_tuple()
+                used = sum(1 for valid, _, u, _, _ in state if valid and u)
+                invalid = sum(1 for valid, _, _, enabled, _ in state if enabled and not valid)
                 tiers_seen.add((invalid > 0, used > 0))
-                for ln in sim.backup.lines:
-                    if not ln.enabled:
-                        assert not ln.valid
-                assert sum(ln.enabled for ln in sim.backup.lines) == sim.backup.current_size
+                for valid, _, _, enabled, _ in state:
+                    if not enabled:
+                        assert not valid
+                assert sum(enabled for _, _, _, enabled, _ in state) == sim.backup.current_size
             r = rng.random()
             if r < 0.005:
                 ops.append(("cs",))

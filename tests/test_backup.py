@@ -24,11 +24,19 @@ def fill(bc, n, start=0, dirty=False):
 
 
 def check_discipline(bc):
-    for line in bc.lines:
-        if not line.enabled:
-            assert not line.valid
-    assert sum(line.enabled for line in bc.lines) == bc.current_size
-    assert sum(line.valid for line in bc.lines) == len(bc._where)
+    """The four slot lists partition the slots in ascending order, the size is
+    the enabled slot count, and a disabled slot holds no line."""
+    lists = (bc.disabled, bc.invalid, bc.used1, bc.used0)
+    for slots in lists:
+        assert slots == sorted(slots)
+    assert sorted(slot for slots in lists for slot in slots) == list(range(bc.max_size))
+    assert bc.current_size == bc.max_size - len(bc.disabled)
+    state = bc.state_tuple()
+    for valid, dirty, used, enabled, _ in state:
+        if not enabled:
+            assert not (valid or dirty or used)
+    assert sum(enabled for _, _, _, enabled, _ in state) == bc.current_size
+    assert sum(valid for valid, *_ in state) == len(bc._where)
 
 
 def test_empty_lookup_misses():
@@ -51,6 +59,7 @@ def test_disabled_line_invisible():
     bc.resize(1)
     survivors = [a for a in (addr(i) for i in range(8)) if bc.lookup(a)]
     assert len(survivors) == 1
+    assert len(bc.disabled) == 7 and bc._where[survivors[0]] not in bc.disabled
     check_discipline(bc)
 
 
@@ -136,10 +145,13 @@ def test_resize_same_size_no_change():
 
 def test_resize_grow_enables_invalid_lines():
     bc = BackupCache(192, 256, 192, random.Random(1))
+    # Growing enables the lowest disabled slots first.
+    assert bc.resize(200) == []
+    assert bc.invalid == list(range(200)) and bc.disabled == list(range(200, 256))
+    check_discipline(bc)
     assert bc.resize(256) == []
     assert bc.current_size == 256
-    grown = [line for line in bc.lines if line.enabled and not line.valid]
-    assert len(grown) == 256
+    assert bc.invalid == list(range(256)) and bc.disabled == []
     check_discipline(bc)
 
 
@@ -150,13 +162,14 @@ def test_resize_shrink_writes_back_dirty_victims():
     for a in dirty:
         bc.write_touch(a)
     bc.clear_used()
-    before = set(bc._where)
+    before = dict(bc._where)
     wbs = bc.resize(192)
-    after = set(bc._where)
-    victims = before - after
+    victims = set(before) - set(bc._where)
     assert len(victims) == 64
     # state-diff oracle: write-backs are exactly the dirty victims
     assert set(wbs) == dirty & victims
+    # and the victims' slots are exactly the disabled ones
+    assert bc.disabled == sorted(before[a] for a in victims)
     check_discipline(bc)
 
 
@@ -218,8 +231,9 @@ def test_protection_property_randomized():
             resident = list(bc._where)
             bc.lookup(rng.choice(resident))
         elif op < 0.9:
-            used1 = {line.addr for line in bc.lines if line.valid and line.used}
-            has_invalid = any(line.enabled and not line.valid for line in bc.lines)
+            state = bc.state_tuple()
+            used1 = {a for valid, _, used, _, a in state if valid and used}
+            has_invalid = any(enabled and not valid for valid, _, _, enabled, _ in state)
             evicted = bc.insert(addr(next_addr))
             next_addr += 1
             if used1 and not has_invalid:
@@ -245,11 +259,11 @@ def test_full_associativity_slot_independent():
 
 
 def scan_tiers(bc):
-    """Reference tiers rebuilt from the line bits, each in slot order."""
+    """Reference tiers rebuilt from the enabled slots' line bits, each in slot order."""
     invalid, used1, used0 = [], [], []
-    for slot, line in enumerate(bc.lines):
-        if line.enabled:
-            (invalid if not line.valid else used1 if line.used else used0).append(slot)
+    for slot, (valid, _, used, enabled, _) in enumerate(bc.state_tuple()):
+        if enabled:
+            (invalid if not valid else used1 if used else used0).append(slot)
     return invalid, used1, used0
 
 
@@ -267,8 +281,10 @@ OPS = st.sampled_from(["lookup", "write_touch", "insert", "invalidate", "clear_u
 @given(seed=st.integers(0, 2**32 - 1),
        ops=st.lists(st.tuples(OPS, st.integers(0, 31)), max_size=80))
 def test_tier_lists_track_line_bits(seed, ops):
-    """After every operation the tier lists equal a scan of the lines, and a
-    victim draw picks the same slot as a scan-based chooser on the same RNG state."""
+    """After every operation the four slot lists partition the slots and fix
+    the size (check_discipline), the tier lists equal a scan of the lines, and
+    a victim draw picks the same slot as a scan-based chooser on the same RNG
+    state."""
     bc = make_backup(min_size=2, max_size=12, size=7, seed=seed)
     for op, arg in ops:
         a = addr(arg)

@@ -244,9 +244,13 @@ def test_analyze_exact_output(tmp_path, capsys, fmt, trials):
     assert out.read_bytes() == ANALYZE_CSV[trials].encode()
 
 
-def test_analyze_bad_range():
+def test_analyze_bad_range(capsys):
     assert main(["analyze", "--range", "banana"]) == EXIT_USAGE
-    assert main(["analyze", "--range", "16-12", "--trials", "0"]) == EXIT_CONFIG
+    assert "--range" in capsys.readouterr().err
+    # MIN_KB > MAX_KB is the user's range, not the line counts derived from it.
+    assert main(["analyze", "--range", "16-12", "--trials", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--range" in err and "16-12" in err and "256" not in err
 
 
 def test_sweep(tmp_path, trace_file):
@@ -294,6 +298,7 @@ def test_unknown_subcommand():
     (["analyze", "--p", "nan", "--trials", "0"], EXIT_USAGE),
     (["analyze", "--p", "-0.5", "--trials", "10"], EXIT_USAGE),
     (["analyze", "--p", "nan", "--trials", "10"], EXIT_USAGE),
+    (["analyze", "--range", "16-12", "--trials", "10"], EXIT_USAGE),
 ])
 def test_bad_option_exit_code(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == code
@@ -306,13 +311,19 @@ def test_bad_option_exit_code(tmp_path, argv, code):
     ["sweep", "--trace", "TRACE"],
     ["analyze", "--trials", "0"],
 ])
-def test_out_in_missing_directory_exit_usage(tmp_path, trace_file, capsys, argv):
+def test_out_in_missing_directory_exit_usage(tmp_path, trace_file, capsys, monkeypatch, argv):
     out = tmp_path / "missing" / "o.csv"
     argv = [str(trace_file) if a == "TRACE" else a for a in argv]
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     assert str(out) in capsys.readouterr().err
     assert not out.exists()
     assert not out.with_name(out.name + ".manifest.json").exists()
+    # An empty path is rejected the same way, and no file or manifest appears.
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", ""]) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_out_naming_a_directory_exit_usage(tmp_path):
