@@ -25,8 +25,8 @@ class ModelError(ValueError):
 
 
 def _check_range(b_min: int, b_max: int) -> int:
-    if b_min < 0 or b_max < b_min:
-        raise ModelError(f"need 0 <= b_min <= b_max, got {b_min}/{b_max}")
+    if not 1 <= b_min <= b_max:
+        raise ModelError(f"need 1 <= b_min <= b_max, got {b_min}/{b_max}")
     return b_max - b_min + 1
 
 

@@ -15,7 +15,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
-import yaml
 
 from . import __version__
 from .analysis import ModelError, monte_carlo_single_set, p_avg
@@ -89,6 +88,8 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
     """
     data = {}
     if path is not None:
+        import yaml  # imported here, so a run without a config file skips its cost
+
         try:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:

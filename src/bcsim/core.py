@@ -98,7 +98,8 @@ class SetAssociativeCache:
 
     def _locate(self, addr: int) -> tuple[dict[int, bool], int]:
         """The set holding addr and addr's tag."""
-        check_addr(addr)
+        if not 0 <= addr < ADDR_LIMIT:
+            check_addr(addr)
         return self.sets[(addr >> self.offset_bits) & self.index_mask], addr >> self.tag_shift
 
     def lookup(self, addr: int) -> bool:

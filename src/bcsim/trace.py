@@ -2,7 +2,7 @@
 
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .simulator import Simulator
 
@@ -14,6 +14,10 @@ KIND_INVALIDATE = "invalidate"
 # At most 12 hex digits, so every address fits the 48-bit physical space.
 _HEXADDR = re.compile(r"0x[0-9a-fA-F]{1,12}\Z")
 _OPCODES = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
+_CTXSWITCH = (KIND_CTXSWITCH, None)
+
+# One parsed record: (kind, address), with address None for a context switch.
+Record = tuple[str, Optional[int]]
 
 
 class TraceError(Exception):
@@ -24,33 +28,30 @@ class TraceError(Exception):
         self.lineno = lineno
 
 
-class TraceRecord(NamedTuple):
-    kind: str
-    addr: Optional[int] = None
-
-
-def parse_line(lineno: int, line: str) -> Optional[TraceRecord]:
-    """Parse one trace line; returns None for comments and blanks.
+def parse_line(lineno: int, line: str) -> Optional[Record]:
+    """Parse one trace line into a (kind, addr) pair; returns None for
+    comments and blanks.
 
     Fields are separated by any run of whitespace, and a `#` starts a
     comment that runs to the end of the line.
     """
-    fields = line.split("#", 1)[0].split()
-    if len(fields) != 2:
-        if not fields:
-            return None
-        if fields == ["CS"]:
-            return TraceRecord(kind=KIND_CTXSWITCH)
-        raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
-    op, text = fields
-    if op not in _OPCODES:
-        raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
-    if not _HEXADDR.match(text):
-        raise TraceError(lineno, f"bad address {text!r}")
-    return TraceRecord(kind=_OPCODES[op], addr=int(text, 16))
+    fields = (line.split("#", 1)[0] if "#" in line else line).split()
+    if len(fields) == 2:
+        op, text = fields
+        kind = _OPCODES.get(op)
+        if kind is None:
+            raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
+        if not _HEXADDR.match(text):
+            raise TraceError(lineno, f"bad address {text!r}")
+        return kind, int(text, 16)
+    if not fields:
+        return None
+    if fields == ["CS"]:
+        return _CTXSWITCH
+    raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
 
 
-def parse_trace(lines: Iterable[str]) -> list[TraceRecord]:
+def parse_trace(lines: Iterable[str]) -> list[Record]:
     records = []
     for lineno, line in enumerate(lines, start=1):
         rec = parse_line(lineno, line)
@@ -96,21 +97,20 @@ class SimStats:
         return "\n".join(lines) + "\n"
 
 
-def run_trace(sim: Simulator, records: Iterable[TraceRecord]) -> SimStats:
+def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:
     """Apply every record in order and accumulate statistics."""
     access = sim.access
     cases = {"00": 0, "01": 0, "10": 0, "11": 0}
     l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
-    for rec in records:
-        kind = rec.kind
+    for kind, addr in records:
         if kind == KIND_CTXSWITCH:
             sim.context_switch()
             ctx_switches += 1
         elif kind == KIND_INVALIDATE:
-            sim.external_invalidate(rec.addr)
+            sim.external_invalidate(addr)
             invalidations += 1
         else:
-            case, cycles, _, wbs, resized, l2_hit = access(rec.addr, kind == KIND_STORE)
+            case, cycles, _, wbs, resized, l2_hit = access(addr, kind == KIND_STORE)
             cases[case] += 1
             latency += cycles
             if l2_hit is not None:

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,11 @@ from bcsim.cli import (
     load_config,
     main,
 )
-from bcsim.simulator import MODE_BACKUP, ConfigError, SimConfig
+from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, ConfigError, SimConfig, Simulator
+from bcsim.trace import parse_trace, run_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 @pytest.fixture
@@ -135,6 +140,45 @@ def test_sim_rerun_byte_identical(tmp_path, trace_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+_SIM_IN_FRESH_PROCESS = """
+import json, sys
+from bcsim.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules}))
+"""
+
+
+def _sim_in_fresh_process(argv: list[str]) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SIM_IN_FRESH_PROCESS, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _expected_sim_text(config: SimConfig, trace_path: Path) -> str:
+    sim = Simulator(config)
+    with trace_path.open() as fh:
+        stats = run_trace(sim, parse_trace(fh))
+    return stats.as_text() + f"state_digest={sim.state_digest()}\n"
+
+
+def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
+    out = tmp_path / "plain.txt"
+    report = _sim_in_fresh_process(["sim", "--trace", str(trace_file), "--out", str(out)])
+    assert report == {"rc": EXIT_OK, "yaml_imported": False}
+    assert out.read_text() == _expected_sim_text(SimConfig(), trace_file)
+    # With --config the file is still read: its baseline mode shows in the output.
+    cfg, out = tmp_path / "c.yaml", tmp_path / "config.txt"
+    cfg.write_text("mode: baseline\n")
+    report = _sim_in_fresh_process(["sim", "--config", str(cfg), "--trace", str(trace_file),
+                                    "--out", str(out)])
+    assert report == {"rc": EXIT_OK, "yaml_imported": True}
+    assert out.read_text() == _expected_sim_text(SimConfig(mode=MODE_BASELINE), trace_file)
+    assert out.read_text() != (tmp_path / "plain.txt").read_text()
+
+
 def test_sim_malformed_trace_exit_and_lineno(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("R 0x40\nR xyz\n")
@@ -251,6 +295,19 @@ def test_analyze_bad_range(capsys):
     assert main(["analyze", "--range", "16-12", "--trials", "0"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--range" in err and "16-12" in err and "256" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--range", "0-16", "--trials", "0"],
+    ["--range", "1-2", "--line-bytes", "4096"],
+])
+def test_analyze_zero_line_minimum_is_config_error(capsys, argv):
+    """A range whose MIN_KB holds no whole line is a 0-line backup cache,
+    which SimConfig rejects too; no probability is printed for it."""
+    assert main(["analyze", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "need 1 <= b_min" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep(tmp_path, trace_file):

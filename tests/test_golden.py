@@ -312,13 +312,14 @@ def outcome_stream_sha256(name: str, work: Path) -> str:
     config_path.write_text(CONFIGS[config_name])
     sim = Simulator(load_config(str(config_path), seed))
     digest = hashlib.sha256()
-    for rec in parse_trace(trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS).splitlines()):
-        if rec.kind == KIND_CTXSWITCH:
+    text = trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS)
+    for kind, addr in parse_trace(text.splitlines()):
+        if kind == KIND_CTXSWITCH:
             event = ("CS", sim.context_switch())
-        elif rec.kind == KIND_INVALIDATE:
-            event = ("INV", sim.external_invalidate(rec.addr))
+        elif kind == KIND_INVALIDATE:
+            event = ("INV", sim.external_invalidate(addr))
         else:
-            o = sim.access(rec.addr, store=rec.kind == KIND_STORE)
+            o = sim.access(addr, store=kind == KIND_STORE)
             event = (o.case, o.latency_cycles, o.l1_eviction, tuple(o.writebacks),
                      o.resized, o.l2_hit)
         digest.update(repr(event).encode() + b"\n")

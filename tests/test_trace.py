@@ -1,8 +1,9 @@
 import re
+import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcsim.simulator import SimConfig, Simulator, baseline_config
@@ -12,7 +13,6 @@ from bcsim.trace import (
     KIND_LOAD,
     KIND_STORE,
     TraceError,
-    TraceRecord,
     parse_line,
     parse_trace,
     run_trace,
@@ -23,9 +23,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_parse_basic_records():
     records = parse_trace(["R 0x1040\n", "W 0x2000\n", "INV 0xff\n", "CS\n"])
-    assert [r.kind for r in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE, KIND_CTXSWITCH]
-    assert records[0].addr == 0x1040
-    assert records[3].addr is None
+    assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
+                                             KIND_CTXSWITCH]
+    assert records[0][1] == 0x1040
+    assert records[3][1] is None
 
 
 def test_parse_skips_comments_and_blanks():
@@ -33,8 +34,8 @@ def test_parse_skips_comments_and_blanks():
     assert len(records) == 1
 
 
-LOAD_1040 = TraceRecord(kind=KIND_LOAD, addr=0x1040)
-CTXSWITCH = TraceRecord(kind=KIND_CTXSWITCH)
+LOAD_1040 = (KIND_LOAD, 0x1040)
+CTXSWITCH = (KIND_CTXSWITCH, None)
 
 
 @pytest.mark.parametrize("line, expected", [
@@ -59,8 +60,9 @@ def test_readme_trace_example_parses():
     text = README.read_text()
     block = re.search(r"### Trace format.*?```\n(.*?)```", text, re.S).group(1)
     records = parse_trace(block.splitlines())
-    assert [r.kind for r in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE, KIND_CTXSWITCH]
-    assert records[0].addr == 0x7F001040
+    assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
+                                             KIND_CTXSWITCH]
+    assert records[0][1] == 0x7F001040
 
 
 @settings(max_examples=500, deadline=None)
@@ -76,8 +78,57 @@ def test_arbitrary_lines_parse_or_raise_trace_error_with_lineno(lines):
             assert exc.lineno == lineno
             assert str(exc).startswith(f"line {lineno}: ")
         else:
-            assert rec is None or rec.kind in (KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
-                                               KIND_CTXSWITCH)
+            assert rec is None or rec[0] in (KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
+                                             KIND_CTXSWITCH)
+
+
+def _reference_parse_line(lineno, line):
+    """The trace grammar written plainly: strip the comment, split on
+    whitespace, then match the fields. parse_line must agree with it."""
+    fields = line.split("#", 1)[0].split()
+    if not fields:
+        return None
+    if fields == ["CS"]:
+        return (KIND_CTXSWITCH, None)
+    kinds = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
+    if len(fields) != 2 or fields[0] not in kinds:
+        raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
+    text = fields[1]
+    digits = text[2:]
+    if not (text.startswith("0x") and 1 <= len(digits) <= 12
+            and all(c in string.hexdigits for c in digits)):
+        raise TraceError(lineno, f"bad address {text!r}")
+    return (kinds[fields[0]], int(digits, 16))
+
+
+# Whitespace that str.split() separates on, ASCII and Unicode alike, and one
+# character (zero-width space) that it does not.
+_SPACE = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000\u200b", max_size=2)
+# Lines shaped like records: opcode, address of 0 to 14 hex digits and maybe
+# one other character, comment.
+_RECORD_LINES = st.tuples(
+    _SPACE, st.sampled_from(["R", "W", "INV", "CS", "r", "X", ""]), _SPACE,
+    st.sampled_from(["0x", "0X", "x", ""]), st.text(alphabet=string.hexdigits, max_size=14),
+    st.sampled_from(["", "_", "g", "\u0663"]),
+    _SPACE, st.sampled_from(["", "#", "# R 0x10", "\n", "\r\n"]),
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=st.one_of(st.text(), _RECORD_LINES),
+       lineno=st.integers(min_value=1, max_value=10**6))
+@example(line="W 0xffffffffffff\r\n", lineno=1)
+@example(line="R 0x1000000000000", lineno=1)  # 13 hex digits
+@example(line="CS 0x10 0x20", lineno=2)
+def test_parse_line_matches_reference_grammar(line, lineno):
+    try:
+        expected = _reference_parse_line(lineno, line)
+    except TraceError as exc:
+        with pytest.raises(TraceError) as got:
+            parse_line(lineno, line)
+        assert (str(got.value), got.value.lineno) == (str(exc), exc.lineno)
+    else:
+        assert parse_line(lineno, line) == expected
 
 
 def test_parse_bad_hex_cites_line():
@@ -92,7 +143,7 @@ def test_parse_unknown_opcode_is_error():
 
 
 def test_parse_rejects_address_too_wide():
-    assert parse_trace(["R 0xffffffffffff\n"])[0].addr == (1 << 48) - 1
+    assert parse_trace(["R 0xffffffffffff\n"])[0][1] == (1 << 48) - 1
     with pytest.raises(TraceError, match=r"^line 2: bad address '0x1000000000000'$"):
         parse_trace(["R 0x10\n", "R 0x1000000000000\n"])  # 13 hex digits
 
