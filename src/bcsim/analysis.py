@@ -46,16 +46,10 @@ def p_avg(b_min: int, b_max: int) -> float:
     return 0.5 + 1.0 / (2 * span)
 
 
-def worst_case_overflow(b_min: int) -> int:
-    """Smallest victim footprint (in lines) guaranteed to leak a probe miss."""
-    return b_min + 1
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     estimate: float
     stderr: float
-    trials: int
 
 
 def monte_carlo_single_set(b_min: int, b_max: int, p: float = 0.5,
@@ -84,4 +78,4 @@ def monte_carlo_single_set(b_min: int, b_max: int, p: float = 0.5,
     guess = np.where(guess_matches, secret, 1 - secret)
     rate = float(np.mean(guess == secret))
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
-    return MonteCarloResult(estimate=rate, stderr=stderr, trials=trials)
+    return MonteCarloResult(estimate=rate, stderr=stderr)

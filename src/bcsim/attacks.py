@@ -66,7 +66,7 @@ def _prime_probe(sim: Simulator, groups: list[list[int]], victim: list[int]) -> 
     """One round: prime each group, context switch, load the victim's
     addresses, context switch, and return each group's summed probe
     latency, probing in prime order."""
-    load = sim.load
+    load = sim.access
     for group in groups:
         for addr in group:
             load(addr)

@@ -114,16 +114,17 @@ class BackupCache:
         """
         if addr in self._where:
             raise CacheError(f"insert of already-resident address {addr:#x}")
-        return self._place(addr, dirty)
+        evicted = self.absorb(addr)
+        if dirty:
+            self.lines[self._where[addr]].dirty = True
+        return evicted
 
     def absorb(self, addr: int) -> Optional[tuple[int, bool]]:
-        """Take in a line the L1D evicted: install it clean unless it is
-        already resident. Returns the displaced (address, dirty) pair, if any."""
+        """Take in a line the L1D evicted: install it clean, with used=0,
+        unless it is already resident. Returns the displaced (address, dirty)
+        pair, if any."""
         if addr in self._where:
             return None
-        return self._place(addr, False)
-
-    def _place(self, addr: int, dirty: bool) -> Optional[tuple[int, bool]]:
         slot = self.select_victim()
         line = self.lines[slot]
         tier = self._tier(line)
@@ -134,7 +135,7 @@ class BackupCache:
             evicted = (line.addr, line.dirty)
             del self._where[line.addr]
         line.valid = True
-        line.dirty = dirty
+        line.dirty = False
         line.used = False
         line.addr = addr
         self._where[addr] = slot

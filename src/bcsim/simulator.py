@@ -130,12 +130,6 @@ class Simulator:
 
     # -- memory access ------------------------------------------------
 
-    def load(self, addr: int) -> AccessOutcome:
-        return self.access(addr, store=False)
-
-    def store(self, addr: int) -> AccessOutcome:
-        return self.access(addr, store=True)
-
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
         # The one address check of an access: the paths below index the
         # L1D and L2 sets directly.

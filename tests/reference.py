@@ -4,9 +4,10 @@ RefSimulator implements the same rules as bcsim.simulator.Simulator with
 the plainest data structures: each L1D/L2 set is a list scanned for its
 tag, and the backup cache is a list of slot records scanned for each
 replacement tier. It shares no cache code with bcsim, so the differential
-test in test_reference.py can compare the two op by op. It draws from its
-RNG in the same order as the simulator: one randint for the initial
-backup size, one randrange per victim, one randint per resize.
+test in test_reference.py can compare the two op by op, and test_core.py
+and test_backup.py compare RefSetCache and RefBackup with the fast caches.
+It draws from its RNG in the same order as the simulator: one randint for
+the initial backup size, one randrange per victim, one randint per resize.
 """
 
 import random
@@ -53,6 +54,13 @@ class RefSetCache:
         entries.append([tag, dirty])
         return evicted
 
+    def mark_dirty(self, addr):
+        """Set addr's dirty bit without changing its recency; returns whether it was resident."""
+        entry = self.find(addr)
+        if entry is not None:
+            entry[1] = True
+        return entry is not None
+
     def invalidate(self, addr):
         entries, _ = self._where(addr)
         entry = self.find(addr)
@@ -85,21 +93,51 @@ class RefBackup:
                 return slot
         return None
 
+    def lookup(self, addr):
+        """A hit marks the line re-used; returns whether it hit."""
+        slot = self.find(addr)
+        if slot is not None:
+            slot.used = True
+        return slot is not None
+
+    def write_touch(self, addr):
+        """A hit marks the line re-used and dirty; returns whether it hit."""
+        slot = self.find(addr)
+        if slot is not None:
+            slot.used = slot.dirty = True
+        return slot is not None
+
+    def invalidate(self, addr):
+        """Drop the line if resident, discarding dirty contents; returns whether it was."""
+        slot = self.find(addr)
+        if slot is not None:
+            slot.valid = slot.dirty = slot.used = False
+        return slot is not None
+
+    def clear_used(self):
+        """Clear every used bit; returns how many were set."""
+        cleared = sum(s.used for s in self.slots)
+        for slot in self.slots:
+            slot.used = False
+        return cleared
+
     def victim(self):
-        """Tiered choice: invalid, then used=1, then used=0, uniform within a tier."""
+        """Tiered choice of a slot index: invalid, then used=1, then used=0,
+        uniform within a tier."""
         tiers = (lambda s: not s.valid, lambda s: s.valid and s.used,
                  lambda s: s.valid and not s.used)
         for in_tier in tiers:
-            candidates = [s for s in self.slots if s.enabled and in_tier(s)]
+            candidates = [i for i, s in enumerate(self.slots) if s.enabled and in_tier(s)]
             if candidates:
                 return candidates[self.rng.randrange(len(candidates))]
         raise AssertionError("no enabled slot")
 
-    def insert(self, addr):
-        """Place addr clean; returns the (address, dirty) displaced, if any."""
-        slot = self.victim()
+    def insert(self, addr, dirty=False):
+        """Place addr, which is not resident, with used=0; returns the
+        (address, dirty) displaced, if any."""
+        slot = self.slots[self.victim()]
         displaced = (slot.addr, slot.dirty) if slot.valid else None
-        slot.valid, slot.dirty, slot.used, slot.addr = True, False, False, addr
+        slot.valid, slot.dirty, slot.used, slot.addr = True, dirty, False, addr
         return displaced
 
     def resize(self, new_size):
@@ -110,7 +148,7 @@ class RefBackup:
             for slot in [s for s in self.slots if not s.enabled][:new_size - len(enabled)]:
                 slot.enabled = True
         for _ in range(len(enabled) - new_size):
-            slot = self.victim()
+            slot = self.slots[self.victim()]
             if slot.valid and slot.dirty:
                 dropped.append(slot.addr)
             slot.valid = slot.dirty = slot.used = slot.enabled = False
@@ -139,9 +177,7 @@ class RefSimulator:
         return size if self.config.fixed_threshold is None else self.config.fixed_threshold
 
     def write_back(self, addr, writebacks):
-        entry = self.l2.find(addr)
-        if entry is not None:
-            entry[1] = True
+        self.l2.mark_dirty(addr)
         writebacks.append(addr)
 
     def install_l1(self, line, dirty, writebacks):
@@ -169,17 +205,15 @@ class RefSimulator:
         l1_cycles = self.config.l1d.hit_cycles
         writebacks = []
         eviction = l2_hit = resized = None
-        l1_entry = self.l1d.touch(line)
-        bu_slot = self.backup.find(line) if self.backup is not None else None
-        if bu_slot is not None:
-            bu_slot.used = True
+        l1_hit = self.l1d.touch(line) is not None
+        bu_hit = False
+        if self.backup is not None:
+            bu_hit = self.backup.write_touch(line) if store else self.backup.lookup(line)
+        if l1_hit:
+            case, latency = ("11" if bu_hit else "10"), l1_cycles
             if store:
-                bu_slot.dirty = True
-        if l1_entry is not None:
-            case, latency = ("11" if bu_slot is not None else "10"), l1_cycles
-            if store:
-                l1_entry[1] = True
-        elif bu_slot is not None:
+                self.l1d.mark_dirty(line)
+        elif bu_hit:
             case, latency = "01", l1_cycles
             eviction = self.install_l1(line, False, writebacks)
         else:
@@ -200,19 +234,11 @@ class RefSimulator:
     def context_switch(self):
         if self.backup is None:
             return 0
-        cleared = sum(s.used for s in self.backup.slots)
-        for slot in self.backup.slots:
-            slot.used = False
-        return cleared
+        return self.backup.clear_used()
 
     def external_invalidate(self, addr):
         line = addr - addr % self.config.l1d.line_bytes
         in_l1 = self.l1d.invalidate(line)
-        in_bu = False
-        if self.backup is not None:
-            slot = self.backup.find(line)
-            if slot is not None:
-                slot.valid = slot.dirty = slot.used = False
-                in_bu = True
+        in_bu = self.backup is not None and self.backup.invalidate(line)
         in_l2 = self.l2.invalidate(line)
         return in_l1 or in_bu or in_l2

@@ -99,12 +99,12 @@ def _overflow_probe_misses(n_victim, seed):
     attacker = [compose(100 + w, s, geo)
                 for s in range(geo.num_sets) for w in range(geo.ways)]
     for a in attacker:
-        sim.load(a)
+        sim.access(a)
     sim.context_switch()
     for i in range(n_victim):
-        sim.load(compose((1 << 24) + i, i % geo.num_sets, geo))
+        sim.access(compose((1 << 24) + i, i % geo.num_sets, geo))
     sim.context_switch()
-    return sum(1 for a in attacker if sim.load(a).case == "00")
+    return sum(1 for a in attacker if sim.access(a).case == "00")
 
 
 def test_criterion_6_overflow_bound_is_exact():

@@ -118,9 +118,9 @@ def test_eviction_set_soundness_baseline():
     geo = cfg.l1d
     es = build_eviction_set(geo, [5], rng=random.Random(3))
     for a in es.set_lines[5]:
-        sim.load(a)
+        sim.access(a)
     from bcsim.core import compose
-    sim.load(compose(1 << 24, 5, geo))
+    sim.access(compose(1 << 24, 5, geo))
     resident = [a for a in es.set_lines[5] if sim.l1d.contains(a)]
     assert len(resident) == geo.ways - 1
 

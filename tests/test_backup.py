@@ -1,9 +1,11 @@
+import copy
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import RefBackup
 
 from bcsim.backup import BackupCache
 from bcsim.core import CacheError
@@ -267,41 +269,48 @@ def scan_tiers(bc):
     return invalid, used1, used0
 
 
-def scan_victim(bc, rng):
-    for tier in scan_tiers(bc):
-        if tier:
-            return tier[rng.randrange(len(tier))]
-    raise CacheError("no enabled line to select a victim from")
-
-
-OPS = st.sampled_from(["lookup", "write_touch", "insert", "invalidate", "clear_used", "resize"])
+OPS = st.sampled_from(["lookup", "write_touch", "insert", "absorb", "invalidate",
+                       "clear_used", "resize"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        ops=st.lists(st.tuples(OPS, st.integers(0, 31)), max_size=80))
+# A full cache with two used=1 lines: each victim draw must come from that tier.
+@example(seed=0, ops=[("insert", i) for i in range(7)]
+         + [("lookup", 1), ("lookup", 2), ("absorb", 3), ("absorb", 20)])
 def test_tier_lists_track_line_bits(seed, ops):
-    """After every operation the four slot lists partition the slots and fix
-    the size (check_discipline), the tier lists equal a scan of the lines, and
-    a victim draw picks the same slot as a scan-based chooser on the same RNG
-    state."""
+    """Op by op, the backup cache matches the reference RefBackup on the same
+    RNG seed: return values, state, RNG state and a victim draw after every
+    operation. The four slot lists partition the slots and fix the size
+    (check_discipline), and the tier lists equal a scan of the lines."""
     bc = make_backup(min_size=2, max_size=12, size=7, seed=seed)
+    ref = RefBackup(7, 12, random.Random(seed))
     for op, arg in ops:
         a = addr(arg)
-        if op == "clear_used":
-            used = sum(line.used for line in bc.lines)
-            assert bc.clear_used() == used
-        elif op == "resize":
-            bc.resize(bc.min_size + arg % (bc.max_size - bc.min_size + 1))
+        if op == "resize":
+            size = bc.min_size + arg % (bc.max_size - bc.min_size + 1)
+            assert bc.resize(size) == ref.resize(size)
+        elif op == "clear_used":
+            assert bc.clear_used() == ref.clear_used()
         elif op == "insert" and bc.contains(a):
             with pytest.raises(CacheError):
                 bc.insert(a)
         elif op == "insert":
-            bc.insert(a, dirty=arg % 3 == 0)
+            assert bc.insert(a, dirty=arg % 3 == 0) == ref.insert(a, dirty=arg % 3 == 0)
+        elif op == "absorb":
+            # absorb is insert-if-absent: a resident line leaves the state and
+            # the RNG untouched (no victim draw), a new one is placed clean
+            # exactly as insert places it on a twin cache.
+            twin = copy.deepcopy(bc)
+            expected = None if twin.contains(a) else twin.insert(a)
+            assert bc.absorb(a) == expected == (None if ref.find(a) else ref.insert(a))
+            assert bc.state_tuple() == twin.state_tuple()
+            assert bc.rng.getstate() == twin.rng.getstate()
         else:
-            getattr(bc, op)(a)
+            assert getattr(bc, op)(a) == getattr(ref, op)(a)
+        assert bc.state_tuple() == ref.state_tuple()
+        assert bc.rng.getstate() == ref.rng.getstate()
         assert (bc.invalid, bc.used1, bc.used0) == scan_tiers(bc)
         check_discipline(bc)
-        reference = random.Random()
-        reference.setstate(bc.rng.getstate())
-        assert bc.select_victim() == scan_victim(bc, reference)
+        assert bc.select_victim() == ref.victim()

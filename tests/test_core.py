@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import RefSetCache
 
 from bcsim.core import (
     ADDR_LIMIT,
@@ -79,66 +80,6 @@ def test_line_addr_clears_offset():
     assert compose(tag, set_index, GEO) == 0x1040
 
 
-class LruOracle:
-    """Brute-force reference: explicit recency list per set."""
-
-    def __init__(self, geo):
-        self.geo = geo
-        self.sets = {s: [] for s in range(geo.num_sets)}  # list of [tag, dirty], LRU first
-
-    def lookup(self, addr):
-        tag, idx, _ = decompose(addr, self.geo)
-        for entry in self.sets[idx]:
-            if entry[0] == tag:
-                self.sets[idx].remove(entry)
-                self.sets[idx].append(entry)
-                return True
-        return False
-
-    def insert(self, addr, dirty=False):
-        tag, idx, _ = decompose(addr, self.geo)
-        evicted = None
-        if len(self.sets[idx]) == self.geo.ways:
-            old = self.sets[idx].pop(0)
-            evicted = (compose(old[0], idx, self.geo), old[1])
-        self.sets[idx].append([tag, dirty])
-        return evicted
-
-    def write_touch(self, addr):
-        tag, idx, _ = decompose(addr, self.geo)
-        for entry in self.sets[idx]:
-            if entry[0] == tag:
-                entry[1] = True
-                self.sets[idx].remove(entry)
-                self.sets[idx].append(entry)
-                return True
-        return False
-
-    def invalidate(self, addr):
-        tag, idx, _ = decompose(addr, self.geo)
-        for entry in self.sets[idx]:
-            if entry[0] == tag:
-                self.sets[idx].remove(entry)
-                return True
-        return False
-
-    def mark_dirty(self, addr):
-        tag, idx, _ = decompose(addr, self.geo)
-        for entry in self.sets[idx]:
-            if entry[0] == tag:
-                entry[1] = True
-                return True
-        return False
-
-    def contains(self, addr):
-        tag, idx, _ = decompose(addr, self.geo)
-        return any(entry[0] == tag for entry in self.sets[idx])
-
-    def state_tuple(self):
-        return tuple(tuple((tag, dirty) for tag, dirty in self.sets[s])
-                     for s in range(self.geo.num_sets))
-
-
 SMALL_GEO = CacheGeometry(line_bytes=64, num_sets=4, ways=4, hit_cycles=1)
 
 ops_strategy = st.lists(
@@ -150,28 +91,33 @@ ops_strategy = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(ops=ops_strategy)
+# Five lines of set 0: mark_dirty leaves line 0 least recently used, so it is the victim.
+@example(ops=[("insert", 0), ("insert", 4), ("mark_dirty", 0), ("insert", 8), ("insert", 12),
+              ("insert", 16)])
 def test_lru_matches_brute_force_oracle(ops):
     cache = SetAssociativeCache(SMALL_GEO)
-    oracle = LruOracle(SMALL_GEO)
+    oracle = RefSetCache(SMALL_GEO)
     for op, slot in ops:
         addr = slot * SMALL_GEO.line_bytes
         if op == "lookup":
-            assert cache.lookup(addr) == oracle.lookup(addr)
+            assert cache.lookup(addr) == (oracle.touch(addr) is not None)
         elif op in ("insert", "insert_dirty"):
             dirty = op == "insert_dirty"
             if cache.contains(addr):
                 with pytest.raises(CacheError):
                     cache.insert(addr, dirty=dirty)
             else:
-                assert cache.insert(addr, dirty=dirty) == oracle.insert(addr, dirty=dirty)
+                assert cache.insert(addr, dirty=dirty) == oracle.insert(addr, dirty)
         elif op == "write":
-            assert cache.write_touch(addr) == oracle.write_touch(addr)
+            # A write hit is a recency touch plus a dirty mark.
+            assert cache.write_touch(addr) == (oracle.touch(addr) is not None
+                                               and oracle.mark_dirty(addr))
         elif op == "invalidate":
             assert cache.invalidate(addr) == oracle.invalidate(addr)
         elif op == "mark_dirty":
             assert cache.mark_dirty(addr) == oracle.mark_dirty(addr)
         else:
-            assert cache.contains(addr) == oracle.contains(addr)
+            assert cache.contains(addr) == (oracle.find(addr) is not None)
         assert cache.state_tuple() == oracle.state_tuple()
         for ways in cache.state_tuple():
             assert len(ways) <= SMALL_GEO.ways

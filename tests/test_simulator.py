@@ -71,14 +71,14 @@ def test_init_fixed_threshold_counter():
 def test_baseline_has_no_backup():
     sim = Simulator(baseline_config())
     assert sim.backup is None
-    out = sim.load(0x1000)
+    out = sim.access(0x1000)
     assert out.case == "00"
-    assert sim.load(0x1000).case == "10"
+    assert sim.access(0x1000).case == "10"
 
 
 def test_cold_load_is_case_00_memory_path():
     sim = Simulator(pinned_config())
-    out = sim.load(0x2000)
+    out = sim.access(0x2000)
     assert out.case == "00"
     assert not out.l2_hit
     assert out.latency_cycles == 20 + 100
@@ -86,8 +86,8 @@ def test_cold_load_is_case_00_memory_path():
 
 def test_repeat_load_is_l1_hit_3_cycles():
     sim = Simulator(pinned_config())
-    sim.load(0x2000)
-    out = sim.load(0x2000)
+    sim.access(0x2000)
+    out = sim.access(0x2000)
     assert out.case == "10"
     assert out.latency_cycles == 3
 
@@ -96,9 +96,9 @@ def test_hidden_eviction_served_from_backup():
     sim = Simulator(pinned_config())
     addrs = [compose(t, 7, GEO) for t in range(5)]
     for a in addrs:
-        sim.load(a)
+        sim.access(a)
     # A was evicted by E but lives in the backup now
-    out = sim.load(addrs[0])
+    out = sim.access(addrs[0])
     assert out.case == "01"
     assert out.latency_cycles == 3
 
@@ -107,9 +107,9 @@ def test_case_11_both_copies():
     sim = Simulator(pinned_config())
     addrs = [compose(t, 7, GEO) for t in range(5)]
     for a in addrs:
-        sim.load(a)
-    sim.load(addrs[0])          # case 01: now in both
-    out = sim.load(addrs[0])
+        sim.access(a)
+    sim.access(addrs[0])          # case 01: now in both
+    out = sim.access(addrs[0])
     assert out.case == "11"
     assert out.latency_cycles == 3
 
@@ -118,10 +118,10 @@ def test_l2_hit_latency_on_miss_path():
     sim = Simulator(baseline_config())
     geo = sim.config.l1d
     a = compose(1, 4, geo)
-    assert sim.load(a).latency_cycles == 120   # memory fill
+    assert sim.access(a).latency_cycles == 120   # memory fill
     for t in range(2, 6):
-        sim.load(compose(t, 4, geo))           # conflict A out of L1
-    out = sim.load(a)
+        sim.access(compose(t, 4, geo))           # conflict A out of L1
+    out = sim.access(a)
     assert out.case == "00"
     assert out.l2_hit
     assert out.latency_cycles == 20
@@ -130,11 +130,11 @@ def test_l2_hit_latency_on_miss_path():
 def test_store_dirties_and_writes_back_once():
     sim = Simulator(pinned_config())
     target = compose(0, 9, GEO)
-    sim.store(target)
+    sim.access(target, store=True)
     conflicts = [compose(t, 9, GEO) for t in range(1, 5)]
     writebacks = []
     for a in conflicts:
-        writebacks.extend(sim.load(a).writebacks)
+        writebacks.extend(sim.access(a).writebacks)
     assert writebacks.count(target) == 1
     # the backup copy was installed clean: its eviction must not write back again
     assert sim.backup.contains(target)
@@ -143,20 +143,20 @@ def test_store_dirties_and_writes_back_once():
 
 
 @pytest.mark.xfail(strict=True, reason="a case-11 store leaves the line dirty in both "
-                   "the L1D and the backup, so it is written back twice (ROADMAP item 4)")
+                   "the L1D and the backup, so it is written back twice (ROADMAP item 3)")
 def test_case_11_store_written_back_once():
     sim = Simulator(pinned_config(seed=1))
     target = compose(0, 9, GEO)
-    sim.store(target)
+    sim.access(target, store=True)
     for t in range(1, 5):
-        sim.load(compose(t, 9, GEO))        # first write-back; clean copy to the backup
-    assert sim.load(target).case == "01"
-    assert sim.store(target).case == "11"
+        sim.access(compose(t, 9, GEO))        # first write-back; clean copy to the backup
+    assert sim.access(target).case == "01"
+    assert sim.access(target, store=True).case == "11"
     writebacks = []
     for t in range(5, 5_000):
         if not (sim.l1d.contains(target) or sim.backup.contains(target)):
             break
-        writebacks.extend(sim.load(compose(t, 9, GEO)).writebacks)
+        writebacks.extend(sim.access(compose(t, 9, GEO)).writebacks)
     assert not (sim.l1d.contains(target) or sim.backup.contains(target))
     assert writebacks.count(target) == 1
 
@@ -165,13 +165,13 @@ def test_external_invalidate_hits_both_levels():
     sim = Simulator(pinned_config())
     addrs = [compose(t, 3, GEO) for t in range(5)]
     for a in addrs:
-        sim.load(a)
-    sim.load(addrs[0])  # both L1 and backup now
+        sim.access(a)
+    sim.access(addrs[0])  # both L1 and backup now
     assert sim.external_invalidate(addrs[0])
     assert not sim.l1d.contains(addrs[0])
     assert not sim.backup.contains(addrs[0])
     assert not sim.l2.contains(addrs[0])
-    assert sim.load(addrs[0]).case == "00"
+    assert sim.access(addrs[0]).case == "00"
     assert not sim.external_invalidate(0xDEAD000)
 
 
@@ -179,8 +179,8 @@ def test_context_switch_clears_used_bits():
     sim = Simulator(pinned_config())
     addrs = [compose(t, 3, GEO) for t in range(5)]
     for a in addrs:
-        sim.load(a)
-    sim.load(addrs[0])  # backup hit sets used
+        sim.access(a)
+    sim.access(addrs[0])  # backup hit sets used
     assert sim.context_switch() == 1
     assert sim.context_switch() == 0
 
@@ -205,7 +205,7 @@ def test_resize_cadence_dynamic():
     count = 0
     addr = 0
     while len(intervals) < 10:
-        out = sim.load(addr)
+        out = sim.access(addr)
         addr += 64
         count += 1
         if out.resized is not None:
@@ -224,7 +224,7 @@ def test_resize_cadence_fixed():
     sim = Simulator(cfg)
     resizes = 0
     for i in range(1000):
-        if sim.load(i * 64).resized is not None:
+        if sim.access(i * 64).resized is not None:
             resizes += 1
     assert resizes == 5
 
@@ -232,7 +232,7 @@ def test_resize_cadence_fixed():
 def test_pinned_size_never_changes():
     sim = Simulator(pinned_config(size=200, seed=3))
     for i in range(500):
-        out = sim.load(i * 64)
+        out = sim.access(i * 64)
         if out.resized is not None:
             assert out.resized == (200, 200)
     assert sim.backup.current_size == 200
@@ -270,14 +270,17 @@ def test_no_duplicate_residency():
 
 @pytest.mark.parametrize("config", [baseline_config(), SimConfig()], ids=["baseline", "backup"])
 @pytest.mark.parametrize("bad", [-64, ADDR_LIMIT])
-@pytest.mark.parametrize("call", ["access", "load", "store", "external_invalidate"])
+@pytest.mark.parametrize("call", ["access", "store", "external_invalidate"])
 def test_out_of_range_address_rejected_before_any_change(config, bad, call):
     sim = Simulator(config)
     for i in range(600):
         sim.access(i * 64 % 40_000, store=i % 3 == 0)
     digest, rng_state = sim.state_digest(), sim.rng.getstate()
     with pytest.raises(CacheError, match="outside 48-bit"):
-        getattr(sim, call)(bad)
+        if call == "external_invalidate":
+            sim.external_invalidate(bad)
+        else:
+            sim.access(bad, store=call == "store")
     assert sim.state_digest() == digest
     assert sim.rng.getstate() == rng_state
 
@@ -292,7 +295,7 @@ def test_l2_untouched_by_backup_churn():
     pool = [compose(t, s, GEO) for t in range(10) for s in range(64)]
     for _ in range(30_000):
         a = rng.choice(pool)
-        out = sim.load(a)
+        out = sim.access(a)
         if out.case == "00":
             # mirror the observed fetch into a standalone L2 model
             if not twin.lookup(a):
