@@ -169,6 +169,8 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     es = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)
     groups = list(es.set_lines.values())
     sim = Simulator(config)
+    # T-table line i sits in set i; a sample's victim list indexes this.
+    table_lines = [compose(_TTABLE_TAG_BASE, i, geo) for i in range(N_TTABLE_SETS)]
     latencies = np.zeros((n_samples, N_TTABLE_SETS), dtype=np.int64)
     touched = np.zeros((n_samples, N_TTABLE_SETS), dtype=bool)
     plaintexts = []
@@ -178,6 +180,5 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
         indices = [(i % 4) * _LINES_PER_TABLE + ((plaintext[i] ^ key[i]) >> 4)
                    for i in range(16)]
         touched[sample, indices] = True
-        victim = [compose(_TTABLE_TAG_BASE, i, geo) for i in indices]
-        latencies[sample] = _prime_probe(sim, groups, victim)
+        latencies[sample] = _prime_probe(sim, groups, [table_lines[i] for i in indices])
     return AesAttackResult(latencies=latencies, touched=touched, plaintexts=plaintexts)

@@ -25,7 +25,8 @@ class BackupCache:
     switches.
 
     Every physical slot sits in exactly one of four slot lists, each kept
-    in ascending slot order and updated on every state change:
+    in ascending slot order. A state change moves the slot where it
+    happens, by one bisect_left deletion and one insort:
       * disabled -- slots outside the enabled size; they never hold data
                     and are invisible to lookups;
       * invalid  -- enabled slots holding no line;
@@ -62,17 +63,6 @@ class BackupCache:
         """The number of enabled lines."""
         return self.max_size - len(self.disabled)
 
-    def _tier(self, line: _BackupLine) -> list[int]:
-        """The tier list holding an enabled line's slot."""
-        if not line.valid:
-            return self.invalid
-        return self.used1 if line.used else self.used0
-
-    @staticmethod
-    def _move(slot: int, src: list[int], dst: list[int]) -> None:
-        del src[bisect_left(src, slot)]
-        insort(dst, slot)
-
     def contains(self, addr: int) -> bool:
         return addr in self._where
 
@@ -84,7 +74,9 @@ class BackupCache:
         line = self.lines[slot]
         if not line.used:
             line.used = True
-            self._move(slot, self.used0, self.used1)
+            used0 = self.used0
+            del used0[bisect_left(used0, slot)]
+            insort(self.used1, slot)
         return True
 
     def write_touch(self, addr: int) -> bool:
@@ -96,7 +88,9 @@ class BackupCache:
         line.dirty = True
         if not line.used:
             line.used = True
-            self._move(slot, self.used0, self.used1)
+            used0 = self.used0
+            del used0[bisect_left(used0, slot)]
+            insort(self.used1, slot)
         return True
 
     def select_victim(self) -> int:
@@ -123,29 +117,34 @@ class BackupCache:
         """Take in a line the L1D evicted: install it clean, with used=0,
         unless it is already resident. Returns the displaced (address, dirty)
         pair, if any."""
-        if addr in self._where:
+        where = self._where
+        if addr in where:
             return None
         slot = self.select_victim()
         line = self.lines[slot]
-        tier = self._tier(line)
-        if tier is not self.used0:
-            self._move(slot, tier, self.used0)
+        # The victim's slot moves to used0 unless it is already there.
+        src = self.invalid if not line.valid else self.used1 if line.used else None
+        if src is not None:
+            del src[bisect_left(src, slot)]
+            insort(self.used0, slot)
         evicted = None
         if line.valid:
             evicted = (line.addr, line.dirty)
-            del self._where[line.addr]
+            del where[line.addr]
         line.valid = True
         line.dirty = False
         line.used = False
         line.addr = addr
-        self._where[addr] = slot
+        where[addr] = slot
         return evicted
 
     def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
         """Clear an enabled slot's line and move the slot to dst (invalid or
         disabled); returns the line's address if it held dirty data."""
         line = self.lines[slot]
-        self._move(slot, self._tier(line), dst)
+        src = self.invalid if not line.valid else self.used1 if line.used else self.used0
+        del src[bisect_left(src, slot)]
+        insort(dst, slot)
         dirty_addr = None
         if line.valid:
             del self._where[line.addr]

@@ -115,8 +115,10 @@ class Simulator:
         self._l1_hit_cycles = config.l1d.hit_cycles
         self._l2_hit_cycles = config.l2.hit_cycles
         self._l2_miss_cycles = config.l2.hit_cycles + config.memory_penalty_cycles
-        # Outcomes are immutable, so every baseline L1 hit can share one.
-        self._l1_hit_outcome = AccessOutcome("10", config.l1d.hit_cycles)
+        # Outcomes are immutable, so every resize-free L1 hit shares the
+        # one for its case, indexed by the BC probe's result.
+        self._hit_outcomes = (AccessOutcome("10", config.l1d.hit_cycles),
+                              AccessOutcome("11", config.l1d.hit_cycles))
         self._line_mask = ~(config.l1d.line_bytes - 1)
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
@@ -131,6 +133,13 @@ class Simulator:
     # -- memory access ------------------------------------------------
 
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
+        """Run one load (store=False) or store through the hierarchy.
+
+        In backup mode every access probes the BC exactly once: lookup for a
+        load, write_touch for a store. Outcomes are immutable and may be
+        shared between accesses: every L1 hit that does not resize returns
+        the same outcome object for its case.
+        """
         # The one address check of an access: the paths below index the
         # L1D and L2 sets directly.
         if not 0 <= addr < ADDR_LIMIT:
@@ -145,72 +154,64 @@ class Simulator:
         backup = self.backup
         if backup is None:
             if dirty is not None:
-                return self._l1_hit_outcome
-            writebacks: list[int] = []
-            latency, l2_hit = self._fetch_from_l2(addr)
-            eviction = self._install_l1(ways, tag, addr, store, writebacks)
-            return AccessOutcome("00", latency, eviction, tuple(writebacks), None, l2_hit)
-        la = addr & self._line_mask
-        # One BC probe: a hit marks the line re-used, and a store dirties it.
-        bu_hit = backup.write_touch(la) if store else backup.lookup(la)
-        writebacks = []
-        eviction = l2_hit = None
-        if dirty is not None:
-            case = "11" if bu_hit else "10"
-            latency = self._l1_hit_cycles
-        elif bu_hit:
-            case = "01"
-            latency = self._l1_hit_cycles
-            # Line fill into L1 happens after the response; the backup keeps
-            # its copy, so the L1 copy is installed clean.
-            eviction = self._install_l1(ways, tag, addr, False, writebacks)
+                return self._hit_outcomes[False]
+            bu_hit = False
+        else:
+            la = addr & self._line_mask
+            # One BC probe: a hit marks the line re-used, and a store dirties it.
+            bu_hit = backup.write_touch(la) if store else backup.lookup(la)
+            if dirty is not None:
+                count = self.mem_access_count = self.mem_access_count - 1
+                if count > 0:
+                    return self._hit_outcomes[bu_hit]
+                writebacks: list[int] = []
+                resized = self._resize(writebacks)
+                return self._hit_outcomes[bu_hit]._replace(writebacks=tuple(writebacks),
+                                                           resized=resized)
+        # An L1D miss. On a BC hit the line fill happens after the response,
+        # and the BC keeps its copy, so the L1 copy is installed clean.
+        # Otherwise the line comes from the L2, which allocates it clean on a
+        # miss and drops its LRU victim (memory traffic is not modeled).
+        if bu_hit:
+            case, latency, l2_hit = "01", self._l1_hit_cycles, None
+            store = False
         else:
             case = "00"
-            latency, l2_hit = self._fetch_from_l2(addr)
-            eviction = self._install_l1(ways, tag, addr, store, writebacks)
-        self.mem_access_count -= 1
-        resized = self._resize(writebacks) if self.mem_access_count <= 0 else None
+            l2 = self.l2
+            l2_ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
+            l2_tag = addr >> l2.tag_shift
+            l2_dirty = l2_ways.pop(l2_tag, None)
+            l2_hit = l2_dirty is not None
+            if l2_hit:
+                l2_ways[l2_tag] = l2_dirty
+                latency = self._l2_hit_cycles
+            else:
+                if len(l2_ways) == l2.num_ways:
+                    del l2_ways[next(iter(l2_ways))]
+                l2_ways[l2_tag] = False
+                latency = self._l2_miss_cycles
+        # Install the line as MRU. A displaced dirty line is written back,
+        # and with a BC the displaced line is then placed there clean.
+        writebacks = []
+        eviction = None
+        if len(ways) == l1d.num_ways:
+            victim = next(iter(ways))
+            eviction = (victim << l1d.tag_shift) | (addr & l1d.index_field)
+            if ways.pop(victim):
+                self.l2.mark_dirty(eviction)
+                writebacks.append(eviction)
+            if backup is not None:
+                displaced = backup.absorb(eviction)
+                if displaced is not None and displaced[1]:
+                    self.l2.mark_dirty(displaced[0])
+                    writebacks.append(displaced[0])
+        ways[tag] = store
+        resized = None
+        if backup is not None:
+            self.mem_access_count -= 1
+            if self.mem_access_count <= 0:
+                resized = self._resize(writebacks)
         return AccessOutcome(case, latency, eviction, tuple(writebacks), resized, l2_hit)
-
-    def _install_l1(self, ways: dict[int, bool], tag: int, addr: int, dirty: bool,
-                    writebacks: list[int]) -> Optional[int]:
-        """Install addr (tag in the L1D set ways) as MRU; return the displaced line's address.
-
-        A displaced dirty line is written back (and appended to writebacks);
-        with a backup cache, the displaced line is then placed there clean.
-        """
-        l1d = self.l1d
-        if len(ways) < l1d.num_ways:
-            ways[tag] = dirty
-            return None
-        victim = next(iter(ways))
-        ev_dirty = ways.pop(victim)
-        ev_addr = (victim << l1d.tag_shift) | (addr & l1d.index_field)
-        ways[tag] = dirty
-        if ev_dirty:
-            self.l2.mark_dirty(ev_addr)
-            writebacks.append(ev_addr)
-        if self.backup is not None:
-            displaced = self.backup.absorb(ev_addr)
-            if displaced is not None and displaced[1]:
-                self.l2.mark_dirty(displaced[0])
-                writebacks.append(displaced[0])
-        return ev_addr
-
-    def _fetch_from_l2(self, addr: int) -> tuple[int, bool]:
-        """Look addr up in the L2, allocating it clean on a miss; returns (latency, hit)."""
-        l2 = self.l2
-        ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
-        tag = addr >> l2.tag_shift
-        dirty = ways.pop(tag, None)
-        if dirty is not None:
-            ways[tag] = dirty
-            return self._l2_hit_cycles, True
-        if len(ways) == l2.num_ways:
-            # The LRU victim is dropped: memory traffic is not modeled.
-            del ways[next(iter(ways))]
-        ways[tag] = False
-        return self._l2_miss_cycles, False
 
     def _countdown(self, size: int) -> int:
         """The counter reload after sizing the backup to size: the size

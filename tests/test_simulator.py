@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from reference import RefSimulator
 
 from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, compose
 from bcsim.simulator import (
@@ -227,6 +228,39 @@ def test_resize_cadence_fixed():
         if sim.access(i * 64).resized is not None:
             resizes += 1
     assert resizes == 5
+
+
+@pytest.mark.parametrize("case, ops", [
+    # A is stored into the BC copy only (case 01), then C hits the L1D alone.
+    ("10", "WA WB RC WA RC RC RC RC RC"),
+    # A is re-fetched from the BC (case 01), then hits both copies.
+    ("11", "WA WB RC RA WA RA RA RA RA"),
+], ids=["case10", "case11"])
+def test_resizing_l1_hit_carries_its_resize(case, ops):
+    """The L1 hit that runs the countdown out reports the resize and the
+    shrink's write-backs as the reference does; the next, resize-free hit
+    (a shared outcome) reports neither."""
+    lines = {"A": 0, "B": 64, "C": 128}
+    seen_writeback = False
+    for seed in range(16):
+        # One 2-way L1D set, a BC of 1-2 lines and a resize every 8 accesses.
+        cfg = SimConfig(mode=MODE_BACKUP, l1d=CacheGeometry(64, 1, 2, 3),
+                        l2=CacheGeometry(64, 4, 4, 20), backup_min=1, backup_max=2,
+                        fixed_threshold=8, seed=seed)
+        sim, ref = Simulator(cfg), RefSimulator(cfg)
+        outcomes = []
+        for op in ops.split():
+            addr, store = lines[op[1]], op[0] == "W"
+            outcomes.append(sim.access(addr, store))
+            assert tuple(outcomes[-1]) == ref.access(addr, store)
+        resizing, after = outcomes[7], outcomes[8]
+        assert resizing.case in ("10", "11") and resizing.resized is not None
+        assert after.case in ("10", "11")
+        assert after.resized is None and after.writebacks == ()
+        if resizing.case == case and resizing.writebacks:
+            seen_writeback = True
+            assert resizing.writebacks == (lines["A"],)
+    assert seen_writeback
 
 
 def test_pinned_size_never_changes():
