@@ -17,8 +17,6 @@ Averaged over a uniform B the p-dependent terms cancel.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class ModelError(ValueError):
     """Invalid probability-model parameters."""
@@ -65,6 +63,8 @@ def monte_carlo_single_set(b_min: int, b_max: int, p: float = 0.5,
         raise ModelError(f"p={p} outside [0, 1]")
     if trials < 1:
         raise ModelError("trials must be >= 1")
+    import numpy as np  # here, so the closed form and the CLI load without numpy
+
     rng = np.random.default_rng(seed)
     b = rng.integers(b_min, b_max + 1, size=trials)
     b_star = rng.integers(b_min, b_max + 1, size=trials)

@@ -9,11 +9,13 @@ scenario is reproducible from its seed.
 import itertools
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CacheError, CacheGeometry, compose
 from .simulator import ConfigError, SimConfig, Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tag ranges keeping attacker, victim, and T-table addresses disjoint.
 _ATTACKER_TAG_SPACE = 1 << 20
@@ -144,8 +146,8 @@ class AesAttackResult:
     sets the victim actually accessed in that sample.
     """
 
-    latencies: np.ndarray
-    touched: np.ndarray
+    latencies: "np.ndarray"
+    touched: "np.ndarray"
     plaintexts: list[bytes] = field(repr=False)
 
 
@@ -164,6 +166,8 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     """
     if len(key) != 16:
         raise CacheError("key must be 16 bytes")
+    import numpy as np  # here, so that only this scenario loads numpy
+
     geo = config.l1d
     rng = random.Random(seed)
     es = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)

