@@ -20,9 +20,9 @@ class _BackupLine:
 class BackupCache:
     """Eviction-absorbing cache at L1 level.
 
-    Per line, beyond valid/dirty, a used bit is set when the line is
-    accessed again after installation and cleared in bulk at context
-    switches.
+    A line enters clean with used=0 when the L1D evicts it (absorb). Every
+    access probes it once (lookup): a hit sets the used bit, and a store hit
+    also sets dirty. Used bits are cleared in bulk at context switches.
 
     Every physical slot sits in exactly one of four slot lists, each kept
     in ascending slot order. A state change moves the slot where it
@@ -43,9 +43,7 @@ class BackupCache:
     def __init__(self, min_size: int, max_size: int, initial_size: int,
                  rng: random.Random):
         if not 1 <= min_size <= max_size:
-            raise CacheError(
-                f"need 1 <= min_size <= max_size, "
-                f"got {min_size}/{max_size}")
+            raise CacheError(f"need 1 <= min_size <= max_size, got {min_size}/{max_size}")
         if not min_size <= initial_size <= max_size:
             raise CacheError(f"initial size {initial_size} outside [{min_size}, {max_size}]")
         self.min_size = min_size
@@ -66,12 +64,14 @@ class BackupCache:
     def contains(self, addr: int) -> bool:
         return addr in self._where
 
-    def lookup(self, addr: int) -> bool:
-        """Probe for a line-aligned address; a hit marks the line as re-used."""
+    def lookup(self, addr: int, store: bool = False) -> bool:
+        """Probe a line-aligned address; a hit marks the line re-used, a store hit also dirty."""
         slot = self._where.get(addr)
         if slot is None:
             return False
         line = self.lines[slot]
+        if store:
+            line.dirty = True
         if not line.used:
             line.used = True
             used0 = self.used0
@@ -80,18 +80,8 @@ class BackupCache:
         return True
 
     def write_touch(self, addr: int) -> bool:
-        """On hit, mark the line dirty and re-used."""
-        slot = self._where.get(addr)
-        if slot is None:
-            return False
-        line = self.lines[slot]
-        line.dirty = True
-        if not line.used:
-            line.used = True
-            used0 = self.used0
-            del used0[bisect_left(used0, slot)]
-            insort(self.used1, slot)
-        return True
+        """A store probe, kept only for perfbench/tracer.py, which patches it (ROADMAP item 1)."""
+        return self.lookup(addr, True)
 
     def select_victim(self) -> int:
         """Tiered random victim choice among enabled lines."""
@@ -101,17 +91,11 @@ class BackupCache:
                 return self.rng.choice(tier)
         raise CacheError("no enabled line to select a victim from")
 
-    def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
-        """Install a line, returning the displaced (address, dirty) pair if any.
-
-        The address must not already be resident; new lines start with used=0.
-        """
+    def insert(self, addr: int) -> Optional[tuple[int, bool]]:
+        """absorb for an address that must not already be resident."""
         if addr in self._where:
             raise CacheError(f"insert of already-resident address {addr:#x}")
-        evicted = self.absorb(addr)
-        if dirty:
-            self.lines[self._where[addr]].dirty = True
-        return evicted
+        return self.absorb(addr)
 
     def absorb(self, addr: int) -> Optional[tuple[int, bool]]:
         """Take in a line the L1D evicted: install it clean, with used=0,

@@ -5,6 +5,7 @@ are byte-identical across reruns and each output file gets a companion
 run manifest recording the exact configuration.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -127,8 +128,10 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _write_manifest(out_path: Path, command: str, config: SimConfig,
-                    started: float) -> None:
+def _write_with_manifest(out_path: Path, text: str, command: str, config: SimConfig,
+                         started: float) -> None:
+    """Write a data file and its manifest; a failed manifest write removes the data file."""
+    _write(out_path, text)
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -137,8 +140,13 @@ def _write_manifest(out_path: Path, command: str, config: SimConfig,
         "outputs": [str(out_path)],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    _write(out_path.with_suffix(out_path.suffix + ".manifest.json"),
-           json.dumps(manifest, indent=2) + "\n")
+    try:
+        _write(out_path.with_suffix(out_path.suffix + ".manifest.json"),
+               json.dumps(manifest, indent=2) + "\n")
+    except OutputError:
+        with contextlib.suppress(OSError):  # the manifest's error is the one reported
+            out_path.unlink()
+        raise
 
 
 def _read_trace(path: str):
@@ -190,8 +198,7 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
                           indent=2, sort_keys=True) + "\n"
     else:
         body = stats.as_text() + f"state_digest={sim.state_digest()}\n"
-    _write(out, body)
-    _write_manifest(out, "sim", config, started)
+    _write_with_manifest(out, body, "sim", config, started)
     click.echo(f"wrote {out}")
 
 
@@ -238,8 +245,7 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
         means = result.latencies.mean(axis=0) if samples else None
         spread = float(means.max() - means.min()) if samples else 0.0
         click.echo(f"per_set_mean_latency_spread={spread:.2f}")
-    _write(out, text)
-    _write_manifest(out, f"attack {scenario}", config, started)
+    _write_with_manifest(out, text, f"attack {scenario}", config, started)
     click.echo(f"wrote {out}")
 
 
@@ -318,11 +324,11 @@ def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
     dyn = replace(base, fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
     out = Path(out_path)
-    _write(out, _csv_text([["threshold", "resize_count", "avg_access_latency",
-                            "l1d_misses", "l2_misses"],
-                           *([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
-                              stats.l1d_misses, stats.l2_misses] for label, stats in rows)]))
-    _write_manifest(out, "sweep", base, started)
+    text = _csv_text([["threshold", "resize_count", "avg_access_latency", "l1d_misses",
+                       "l2_misses"],
+                      *([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
+                         stats.l1d_misses, stats.l2_misses] for label, stats in rows)])
+    _write_with_manifest(out, text, "sweep", base, started)
     click.echo(f"wrote {out}")
 
 

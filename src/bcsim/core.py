@@ -57,15 +57,6 @@ def check_addr(addr: int) -> int:
     return addr
 
 
-def decompose(addr: int, geo: CacheGeometry) -> tuple[int, int, int]:
-    """Split a physical address into (tag, set_index, offset)."""
-    check_addr(addr)
-    offset = addr & (geo.line_bytes - 1)
-    set_index = (addr >> geo.offset_bits) & (geo.num_sets - 1)
-    tag = addr >> (geo.offset_bits + geo.index_bits)
-    return tag, set_index, offset
-
-
 def compose(tag: int, set_index: int, geo: CacheGeometry, offset: int = 0) -> int:
     """Rebuild a physical address from its (tag, set_index, offset) parts."""
     if not 0 <= set_index < geo.num_sets:
@@ -102,12 +93,13 @@ class SetAssociativeCache:
             check_addr(addr)
         return self.sets[(addr >> self.offset_bits) & self.index_mask], addr >> self.tag_shift
 
-    def lookup(self, addr: int) -> bool:
-        """Probe for addr; on hit the line becomes most recently used."""
+    def lookup(self, addr: int, store: bool = False) -> bool:
+        """Probe addr; a hit makes the line most recently used, a store hit also dirty."""
         ways, tag = self._locate(addr)
-        if tag not in ways:
+        dirty = ways.pop(tag, None)
+        if dirty is None:
             return False
-        ways[tag] = ways.pop(tag)
+        ways[tag] = True if store else dirty
         return True
 
     def contains(self, addr: int) -> bool:
@@ -136,12 +128,8 @@ class SetAssociativeCache:
         return ways.pop(tag, None) is not None
 
     def write_touch(self, addr: int) -> bool:
-        """On hit, mark the line dirty and most recently used."""
-        ways, tag = self._locate(addr)
-        if ways.pop(tag, None) is None:
-            return False
-        ways[tag] = True
-        return True
+        """A store probe, kept only for perfbench/tracer.py, which patches it (ROADMAP item 1)."""
+        return self.lookup(addr, True)
 
     def mark_dirty(self, addr: int) -> bool:
         """Write-back sink: set the dirty bit if addr is resident, else report a miss.

@@ -64,8 +64,7 @@ def baseline_config(seed: int = DEFAULT_SEED) -> SimConfig:
     )
 
 
-def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED,
-                  fixed_threshold: Optional[int] = None) -> SimConfig:
+def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED) -> SimConfig:
     """Defended system: 4-way 16KB L1D at 3 cycles plus a 16KB backup cache.
 
     min_kb/max_kb bound the enabled backup size (12-16, 8-16, or 4-16 are
@@ -77,7 +76,6 @@ def backup_config(min_kb: int = 12, max_kb: int = 16, seed: int = DEFAULT_SEED,
         backup_min=min_kb * 1024 // line,
         backup_max=max_kb * 1024 // line,
         seed=seed,
-        fixed_threshold=fixed_threshold,
     )
 
 
@@ -135,10 +133,11 @@ class Simulator:
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
         """Run one load (store=False) or store through the hierarchy.
 
-        In backup mode every access probes the BC exactly once: lookup for a
-        load, write_touch for a store. Outcomes are immutable and may be
-        shared between accesses: every L1 hit that does not resize returns
-        the same outcome object for its case.
+        In backup mode every access probes the BC exactly once, with
+        lookup(line, store): a hit marks the line re-used, and a store hit
+        also dirties it. Outcomes are immutable and may be shared between
+        accesses: every L1 hit that does not resize returns the same
+        outcome object for its case.
         """
         # The one address check of an access: the paths below index the
         # L1D and L2 sets directly.
@@ -157,9 +156,7 @@ class Simulator:
                 return self._hit_outcomes[False]
             bu_hit = False
         else:
-            la = addr & self._line_mask
-            # One BC probe: a hit marks the line re-used, and a store dirties it.
-            bu_hit = backup.write_touch(la) if store else backup.lookup(la)
+            bu_hit = backup.lookup(addr & self._line_mask, store)
             if dirty is not None:
                 count = self.mem_access_count = self.mem_access_count - 1
                 if count > 0:

@@ -11,8 +11,8 @@ KIND_STORE = "store"
 KIND_CTXSWITCH = "ctxswitch"
 KIND_INVALIDATE = "invalidate"
 
-# At most 12 hex digits, so every address fits the 48-bit physical space.
-_HEXADDR = re.compile(r"0x[0-9a-fA-F]{1,12}\Z")
+# Leading zeros, then at most 12 hex digits: every address fits 48 bits.
+_HEXADDR = re.compile(r"0x0*[0-9a-fA-F]{1,12}\Z")
 _OPCODES = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
 _CTXSWITCH = (KIND_CTXSWITCH, None)
 

@@ -8,9 +8,19 @@ test in test_reference.py can compare the two op by op, and test_core.py
 and test_backup.py compare RefSetCache and RefBackup with the fast caches.
 It draws from its RNG in the same order as the simulator: one randint for
 the initial backup size, one randrange per victim, one randint per resize.
+bit_slice splits an address by text slicing of its binary digits, for the
+address tests of test_core.py and test_attacks.py.
 """
 
 import random
+
+
+def bit_slice(addr, geo):
+    """(tag, set_index, offset) of a 48-bit address, sliced from its binary text."""
+    bits = format(addr, "048b")
+    tag_end = 48 - geo.offset_bits - geo.index_bits
+    off_start = 48 - geo.offset_bits
+    return int(bits[:tag_end], 2), int(bits[tag_end:off_start], 2), int(bits[off_start:], 2)
 
 
 class RefSetCache:
@@ -93,18 +103,13 @@ class RefBackup:
                 return slot
         return None
 
-    def lookup(self, addr):
-        """A hit marks the line re-used; returns whether it hit."""
+    def lookup(self, addr, store=False):
+        """A hit marks the line re-used, and a store hit marks it dirty too;
+        returns whether it hit."""
         slot = self.find(addr)
         if slot is not None:
             slot.used = True
-        return slot is not None
-
-    def write_touch(self, addr):
-        """A hit marks the line re-used and dirty; returns whether it hit."""
-        slot = self.find(addr)
-        if slot is not None:
-            slot.used = slot.dirty = True
+            slot.dirty = slot.dirty or store
         return slot is not None
 
     def invalidate(self, addr):
@@ -132,12 +137,12 @@ class RefBackup:
                 return candidates[self.rng.randrange(len(candidates))]
         raise AssertionError("no enabled slot")
 
-    def insert(self, addr, dirty=False):
-        """Place addr, which is not resident, with used=0; returns the
+    def insert(self, addr):
+        """Place addr, which is not resident, clean with used=0; returns the
         (address, dirty) displaced, if any."""
         slot = self.slots[self.victim()]
         displaced = (slot.addr, slot.dirty) if slot.valid else None
-        slot.valid, slot.dirty, slot.used, slot.addr = True, dirty, False, addr
+        slot.valid, slot.dirty, slot.used, slot.addr = True, False, False, addr
         return displaced
 
     def resize(self, new_size):
@@ -208,7 +213,7 @@ class RefSimulator:
         l1_hit = self.l1d.touch(line) is not None
         bu_hit = False
         if self.backup is not None:
-            bu_hit = self.backup.write_touch(line) if store else self.backup.lookup(line)
+            bu_hit = self.backup.lookup(line, store)
         if l1_hit:
             case, latency = ("11" if bu_hit else "10"), l1_cycles
             if store:

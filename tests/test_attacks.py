@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import aes_max_set_deviation, aes_set_mean_gap
+from reference import bit_slice
 
 from bcsim.attacks import (
     build_eviction_set,
@@ -13,7 +14,7 @@ from bcsim.attacks import (
     run_aes_attack,
     run_single_set_attack,
 )
-from bcsim.core import CacheError, CacheGeometry, decompose
+from bcsim.core import CacheError, CacheGeometry
 from bcsim.simulator import SimConfig, Simulator, backup_config, baseline_config
 
 GEO = SimConfig().l1d
@@ -24,7 +25,7 @@ def test_eviction_set_maps_to_target_set():
     es = build_eviction_set(GEO, [5], filler_bytes=0, rng=random.Random(1))
     assert len(es.set_lines[5]) == GEO.ways
     for addr in es.set_lines[5]:
-        assert decompose(addr, GEO)[1] == 5
+        assert bit_slice(addr, GEO)[1] == 5
     assert es.filler == []
 
 
@@ -32,7 +33,7 @@ def test_eviction_set_filler_count_and_disjointness():
     es = build_eviction_set(GEO, [5], filler_bytes=4096, rng=random.Random(1))
     assert len(es.filler) == 64
     for addr in es.filler:
-        assert decompose(addr, GEO)[1] != 5
+        assert bit_slice(addr, GEO)[1] != 5
     assert len(set(es.all_lines())) == len(es.all_lines())
 
 
@@ -54,12 +55,12 @@ def test_eviction_set_properties(targets, n_filler, seed):
     assert list(es.set_lines) == targets
     for s, lines in es.set_lines.items():
         assert len(lines) == GEO.ways
-        assert all(decompose(addr, GEO)[1] == s for addr in lines)
+        assert all(bit_slice(addr, GEO)[1] == s for addr in lines)
     spare = [s for s in range(GEO.num_sets) if s not in targets]
     assert len(es.filler) == n_filler
     for i, addr in enumerate(es.filler):
-        assert decompose(addr, GEO)[1] not in targets
-        assert decompose(addr, GEO)[1] == spare[i % len(spare)]
+        assert bit_slice(addr, GEO)[1] not in targets
+        assert bit_slice(addr, GEO)[1] == spare[i % len(spare)]
     lines = es.all_lines()
     assert len(set(lines)) == len(lines)
     again = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))

@@ -20,9 +20,9 @@ def addr(i):
     return i * 64
 
 
-def fill(bc, n, start=0, dirty=False):
+def fill(bc, n, start=0):
     for i in range(start, start + n):
-        bc.insert(addr(i), dirty=dirty)
+        bc.insert(addr(i))
 
 
 def check_discipline(bc):
@@ -162,7 +162,7 @@ def test_resize_shrink_writes_back_dirty_victims():
     fill(bc, 256)
     dirty = {addr(i) for i in (3, 50, 99, 180, 255)}
     for a in dirty:
-        bc.write_touch(a)
+        bc.lookup(a, True)
     bc.clear_used()
     before = dict(bc._where)
     wbs = bc.resize(192)
@@ -204,8 +204,11 @@ def test_write_touch_semantics():
     bc = make_backup()
     assert not bc.write_touch(addr(1))
     bc.insert(addr(1))
-    assert bc.write_touch(addr(1))
     slot = bc._where[addr(1)]
+    assert not bc.lines[slot].dirty
+    assert bc.lookup(addr(1))
+    assert not bc.lines[slot].dirty and bc.lines[slot].used
+    assert bc.write_touch(addr(1))
     assert bc.lines[slot].dirty and bc.lines[slot].used
 
 
@@ -269,7 +272,7 @@ def scan_tiers(bc):
     return invalid, used1, used0
 
 
-OPS = st.sampled_from(["lookup", "write_touch", "insert", "absorb", "invalidate",
+OPS = st.sampled_from(["lookup", "store", "insert", "absorb", "invalidate",
                        "clear_used", "resize"])
 
 
@@ -297,7 +300,10 @@ def test_tier_lists_track_line_bits(seed, ops):
             with pytest.raises(CacheError):
                 bc.insert(a)
         elif op == "insert":
-            assert bc.insert(a, dirty=arg % 3 == 0) == ref.insert(a, dirty=arg % 3 == 0)
+            assert bc.insert(a) == ref.insert(a)
+        elif op == "store":
+            # Dirty lines come only from store probes, as in the simulator.
+            assert bc.lookup(a, True) == ref.lookup(a, True)
         elif op == "absorb":
             # absorb is insert-if-absent: a resident line leaves the state and
             # the RNG untouched (no victim draw), a new one is placed clean

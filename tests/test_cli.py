@@ -547,3 +547,23 @@ def test_manifest_path_is_a_directory_exit_input(tmp_path, trace_file, capsys, a
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == f"output error: cannot write {manifest}: Is a directory\n"
+    # No data file is left without its manifest.
+    assert not out.exists()
+
+
+def test_manifest_error_reported_when_data_file_cannot_be_removed(tmp_path, trace_file, capsys,
+                                                                   monkeypatch):
+    """A data file that cannot be removed again leaves the manifest's error as
+    the one reported, not a traceback."""
+    out = tmp_path / "o.csv"
+    manifest = tmp_path / "o.csv.manifest.json"
+    manifest.mkdir()
+
+    def unlink(self, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+    assert main(["sim", "--trace", str(trace_file), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {manifest}: Is a directory\n"
+    assert out.exists()

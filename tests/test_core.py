@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import RefSetCache
+from reference import RefSetCache, bit_slice
 
 from bcsim.core import (
     ADDR_LIMIT,
@@ -10,7 +10,6 @@ from bcsim.core import (
     GeometryError,
     SetAssociativeCache,
     compose,
-    decompose,
 )
 
 GEO = CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3)
@@ -32,51 +31,34 @@ def test_geometry_rejects_bad_shapes(kwargs):
         CacheGeometry(**kwargs)
 
 
-def test_decompose_zero():
-    assert decompose(0x0, GEO) == (0, 0, 0)
-
-
-def test_decompose_simple():
-    assert decompose(0x1040, GEO) == (1, 1, 0)
-
-
-def _bit_slice_oracle(addr, geo):
-    # Independent route: textual binary slicing instead of shifts.
-    bits = format(addr, "048b")
-    off_bits = geo.offset_bits
-    idx_bits = geo.index_bits
-    tag = int(bits[: 48 - off_bits - idx_bits], 2)
-    idx = int(bits[48 - off_bits - idx_bits: 48 - off_bits], 2)
-    off = int(bits[48 - off_bits:], 2)
-    return tag, idx, off
-
-
-def test_decompose_max_address_against_bit_slicing():
-    addr = 0xFFFFFFFFFFFF
-    assert _bit_slice_oracle(addr, GEO) == (0xFFFFFFFFF, 63, 63)
-    assert decompose(addr, GEO) == _bit_slice_oracle(addr, GEO)
-
-
-@given(addr=st.integers(min_value=0, max_value=ADDR_LIMIT - 1))
-def test_decompose_matches_bit_slicing(addr):
-    assert decompose(addr, GEO) == _bit_slice_oracle(addr, GEO)
+@pytest.mark.parametrize("parts, addr", [
+    ((0, 0, 0), 0x0),
+    ((1, 1, 0), 0x1040),
+    ((0xFFFFFFFFF, 63, 63), 0xFFFFFFFFFFFF),
+], ids=["zero", "simple", "max"])
+def test_compose_known_addresses(parts, addr):
+    tag, set_index, offset = parts
+    assert compose(tag, set_index, GEO, offset) == addr
+    assert bit_slice(addr, GEO) == parts
 
 
 @given(tag=st.integers(min_value=0, max_value=(1 << 36) - 1),
-       set_index=st.integers(min_value=0, max_value=63))
-def test_address_round_trip(tag, set_index):
-    addr = compose(tag, set_index, GEO)
-    got_tag, got_idx, got_off = decompose(addr, GEO)
-    assert (got_tag, got_idx, got_off) == (tag, set_index, 0)
+       set_index=st.integers(min_value=0, max_value=63),
+       offset=st.integers(min_value=0, max_value=63))
+def test_address_round_trip(tag, set_index, offset):
+    addr = compose(tag, set_index, GEO, offset)
+    assert bit_slice(addr, GEO) == (tag, set_index, offset)
 
 
-def test_decompose_rejects_out_of_range():
+def test_compose_rejects_out_of_range():
     with pytest.raises(CacheError):
-        decompose(ADDR_LIMIT, GEO)
+        compose(1 << 36, 0, GEO)
+    with pytest.raises(CacheError):
+        compose(0, GEO.num_sets, GEO)
 
 
 def test_line_addr_clears_offset():
-    tag, set_index, _ = decompose(0x1043, GEO)
+    tag, set_index, _ = bit_slice(0x1043, GEO)
     assert compose(tag, set_index, GEO) == 0x1040
 
 
@@ -94,6 +76,8 @@ ops_strategy = st.lists(
 # Five lines of set 0: mark_dirty leaves line 0 least recently used, so it is the victim.
 @example(ops=[("insert", 0), ("insert", 4), ("mark_dirty", 0), ("insert", 8), ("insert", 12),
               ("insert", 16)])
+# A store hit dirties a clean line.
+@example(ops=[("insert", 0), ("write", 0)])
 def test_lru_matches_brute_force_oracle(ops):
     cache = SetAssociativeCache(SMALL_GEO)
     oracle = RefSetCache(SMALL_GEO)
@@ -109,9 +93,9 @@ def test_lru_matches_brute_force_oracle(ops):
             else:
                 assert cache.insert(addr, dirty=dirty) == oracle.insert(addr, dirty)
         elif op == "write":
-            # A write hit is a recency touch plus a dirty mark.
-            assert cache.write_touch(addr) == (oracle.touch(addr) is not None
-                                               and oracle.mark_dirty(addr))
+            # A store hit is a recency touch plus a dirty mark.
+            assert cache.lookup(addr, True) == (oracle.touch(addr) is not None
+                                                and oracle.mark_dirty(addr))
         elif op == "invalidate":
             assert cache.invalidate(addr) == oracle.invalidate(addr)
         elif op == "mark_dirty":

@@ -78,7 +78,8 @@ def _reference_parse_line(lineno, line):
         raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
     text = fields[1]
     digits = text[2:]
-    if not (text.startswith("0x") and 1 <= len(digits) <= 12
+    # Leading zeros are free; at most 12 significant digits.
+    if not (text.startswith("0x") and 1 <= len(digits) and len(digits.lstrip("0")) <= 12
             and all(c in string.hexdigits for c in digits)):
         raise TraceError(lineno, f"bad address {text!r}")
     return (kinds[fields[0]], int(digits, 16))
@@ -102,6 +103,8 @@ _RECORD_LINES = st.tuples(
        lineno=st.integers(min_value=1, max_value=10**6))
 @example(line="W 0xffffffffffff\r\n", lineno=1)
 @example(line="R 0x1000000000000", lineno=1)  # 13 hex digits
+@example(line="R 0x00000000001040", lineno=1)  # 14 digits, 4 significant
+@example(line="W 0x0000000000000000", lineno=1)
 @example(line="CS 0x10 0x20", lineno=2)
 @example(line="R 0x40", lineno=3)
 @example(line="INV 0x40 # drop", lineno=4)
@@ -131,6 +134,13 @@ def test_parse_rejects_address_too_wide():
     assert parse_trace(["R 0xffffffffffff\n"])[0][1] == (1 << 48) - 1
     with pytest.raises(TraceError, match=r"^line 2: bad address '0x1000000000000'$"):
         parse_trace(["R 0x10\n", "R 0x1000000000000\n"])  # 13 hex digits
+
+
+def test_parse_accepts_leading_zeros():
+    assert parse_trace(["R 0x00000000001040\n"])[0][1] == 0x1040
+    assert parse_trace(["W 0x000ffffffffffff\n"])[0][1] == (1 << 48) - 1
+    with pytest.raises(TraceError, match=r"^line 1: bad address '0x0001000000000000'$"):
+        parse_trace(["R 0x0001000000000000\n"])  # 13 significant hex digits
 
 
 def test_parse_rejects_missing_operand():
