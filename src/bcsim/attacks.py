@@ -11,13 +11,13 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import CacheError, CacheGeometry, compose
+from .core import ADDR_LIMIT, CacheError, CacheGeometry, compose
 from .simulator import ConfigError, SimConfig, Simulator
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Tag ranges keeping attacker, victim, and T-table addresses disjoint.
+# Tag ranges keeping attacker, victim, and T-table addresses disjoint, in rising order.
 _ATTACKER_TAG_SPACE = 1 << 20
 _VICTIM_TAG_BASE = 1 << 24
 _TTABLE_TAG_BASE = 1 << 28
@@ -50,6 +50,8 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.R
     for s in target_sets:
         if not 0 <= s < geo.num_sets:
             raise ConfigError(f"target set {s} out of range")
+    if _TTABLE_TAG_BASE << (geo.offset_bits + geo.index_bits) >= ADDR_LIMIT:
+        raise ConfigError("line_bytes * sets leaves too few tag bits for the attack")
     tag_base = rng.randrange(1, _ATTACKER_TAG_SPACE)
     set_lines = {
         s: [compose(tag_base + w, s, geo) for w in range(geo.ways)]

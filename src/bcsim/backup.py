@@ -18,9 +18,9 @@ class _BackupLine:
 
 
 class BackupCache:
-    """Eviction-absorbing cache at L1 level.
+    """Eviction-hiding cache at L1 level.
 
-    A line enters clean with used=0 when the L1D evicts it (absorb). Every
+    A line enters clean with used=0 when the L1D evicts it (insert). Every
     access probes it once (lookup): a hit sets the used bit, and a store hit
     also sets dirty. Used bits are cleared in bulk at context switches.
 
@@ -92,12 +92,6 @@ class BackupCache:
         raise CacheError("no enabled line to select a victim from")
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
-        """absorb for an address that must not already be resident."""
-        if addr in self._where:
-            raise CacheError(f"insert of already-resident address {addr:#x}")
-        return self.absorb(addr)
-
-    def absorb(self, addr: int) -> Optional[tuple[int, bool]]:
         """Take in a line the L1D evicted: install it clean, with used=0,
         unless it is already resident. Returns the displaced (address, dirty)
         pair, if any."""

@@ -41,6 +41,8 @@ class CacheGeometry:
             raise GeometryError(f"ways must be positive, got {self.ways}")
         if self.hit_cycles < 1:
             raise GeometryError(f"hit_cycles must be positive, got {self.hit_cycles}")
+        if self.offset_bits + self.index_bits > ADDR_BITS:
+            raise GeometryError(f"line_bytes * num_sets exceeds the {ADDR_BITS}-bit address space")
 
     @property
     def offset_bits(self) -> int:
@@ -101,11 +103,6 @@ class SetAssociativeCache:
             return False
         ways[tag] = True if store else dirty
         return True
-
-    def contains(self, addr: int) -> bool:
-        """Residency check with no side effects."""
-        ways, tag = self._locate(addr)
-        return tag in ways
 
     def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
         """Install addr as MRU; returns (line address, dirty) of the LRU victim if the set was full.

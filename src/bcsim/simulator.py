@@ -108,7 +108,8 @@ class Simulator:
         self.l1d = SetAssociativeCache(config.l1d)
         self.l2 = SetAssociativeCache(config.l2)
         self.backup: Optional[BackupCache] = None
-        # The countdown register: memory accesses left until the next resize.
+        # The countdown register: accesses left until the next resize, reloaded
+        # with fixed_threshold in fixed mode and with the new size otherwise.
         self.mem_access_count: Optional[int] = None
         self._l1_hit_cycles = config.l1d.hit_cycles
         self._l2_hit_cycles = config.l2.hit_cycles
@@ -126,7 +127,7 @@ class Simulator:
                 initial_size=size,
                 rng=self.rng,
             )
-            self.mem_access_count = self._countdown(size)
+            self.mem_access_count = config.fixed_threshold or size
 
     # -- memory access ------------------------------------------------
 
@@ -198,7 +199,7 @@ class Simulator:
                 self.l2.mark_dirty(eviction)
                 writebacks.append(eviction)
             if backup is not None:
-                displaced = backup.absorb(eviction)
+                displaced = backup.insert(eviction)
                 if displaced is not None and displaced[1]:
                     self.l2.mark_dirty(displaced[0])
                     writebacks.append(displaced[0])
@@ -210,12 +211,6 @@ class Simulator:
                 resized = self._resize(writebacks)
         return AccessOutcome(case, latency, eviction, tuple(writebacks), resized, l2_hit)
 
-    def _countdown(self, size: int) -> int:
-        """The counter reload after sizing the backup to size: the size
-        itself in dynamic mode, fixed_threshold in fixed mode."""
-        threshold = self.config.fixed_threshold
-        return size if threshold is None else threshold
-
     def _resize(self, writebacks: list[int]) -> tuple[int, int]:
         """Resize the backup once the access counter runs out.
 
@@ -224,7 +219,7 @@ class Simulator:
         """
         old = self.backup.current_size
         new = self.rng.randint(self.config.backup_min, self.config.backup_max)
-        self.mem_access_count = self._countdown(new)
+        self.mem_access_count = self.config.fixed_threshold or new
         for wb in self.backup.resize(new):
             self.l2.mark_dirty(wb)
             writebacks.append(wb)

@@ -9,7 +9,8 @@ and test_backup.py compare RefSetCache and RefBackup with the fast caches.
 It draws from its RNG in the same order as the simulator: one randint for
 the initial backup size, one randrange per victim, one randint per resize.
 bit_slice splits an address by text slicing of its binary digits, for the
-address tests of test_core.py and test_attacks.py.
+address tests of test_core.py and test_attacks.py; resident reads an L1D or
+L2 line's residency from the cache's state_tuple() with it.
 """
 
 import random
@@ -21,6 +22,12 @@ def bit_slice(addr, geo):
     tag_end = 48 - geo.offset_bits - geo.index_bits
     off_start = 48 - geo.offset_bits
     return int(bits[:tag_end], 2), int(bits[tag_end:off_start], 2), int(bits[off_start:], 2)
+
+
+def resident(cache, geo, addr):
+    """Whether the SetAssociativeCache cache, of geometry geo, holds addr's line."""
+    tag, set_index, _ = bit_slice(addr, geo)
+    return any(t == tag for t, _ in cache.state_tuple()[set_index])
 
 
 class RefSetCache:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import aes_max_set_deviation, aes_set_mean_gap
-from reference import bit_slice
+from reference import bit_slice, resident
 
 from bcsim.attacks import (
     build_eviction_set,
@@ -122,8 +122,7 @@ def test_eviction_set_soundness_baseline():
         sim.access(a)
     from bcsim.core import compose
     sim.access(compose(1 << 24, 5, geo))
-    resident = [a for a in es.set_lines[5] if sim.l1d.contains(a)]
-    assert len(resident) == geo.ways - 1
+    assert sum(resident(sim.l1d, geo, a) for a in es.set_lines[5]) == geo.ways - 1
 
 
 def test_attack_reproducible_by_seed():

@@ -477,6 +477,8 @@ def test_out_naming_a_directory_exit_usage(tmp_path):
     "seed: null\n",
     "memory_penalty_cycles: '100'\n",
     "{1: 2}\n",
+    # 2**60-byte lines leave no room in the 48-bit address space.
+    "l1d: {line_bytes: 1152921504606846976}\nl2: {line_bytes: 1152921504606846976}\n",
 ])
 def test_mistyped_config_exit_code(tmp_path, trace_file, text):
     cfg = tmp_path / "c.yaml"
@@ -490,6 +492,11 @@ def test_mistyped_config_exit_code(tmp_path, trace_file, text):
     (["attack", "single_set", "--bits", "4"], "l1d: {sets: 4}\n"),
     (["attack", "single_set", "--bits", "4", "--filler-kb", "1"],
      "l1d: {line_bytes: 2048}\nl2: {line_bytes: 2048}\n"),
+    # 20 offset and 10 index bits leave 18 tag bits, too few for the attack's tags.
+    (["attack", "aes", "--samples", "1"],
+     "l1d: {line_bytes: 1048576, sets: 1024}\nl2: {line_bytes: 1048576}\n"),
+    (["attack", "single_set", "--bits", "4"],
+     "l1d: {line_bytes: 1048576, sets: 1024}\nl2: {line_bytes: 1048576}\n"),
 ])
 def test_attack_geometry_unfit_exit_config(tmp_path, argv, text):
     cfg = tmp_path / "c.yaml"

@@ -66,7 +66,7 @@ def test_traced_run_matches_untraced(tmp_path, command):
     counts = dump["counts"]
     cases = sum(n for name, n in counts.items() if name.startswith("simulator.case_"))
     assert cases == calls["simulator.access"] > 0
-    # One backup probe per access: lookup for a load, write_touch for a store.
+    # One backup probe per access, lookup(addr, store) for loads and stores alike.
     probes = calls.get("backup.lookup", 0) + calls.get("backup.write_touch", 0)
     assert probes == calls["simulator.access"]
     victims = sum(n for name, n in counts.items() if name.startswith("backup.victim."))
@@ -75,3 +75,5 @@ def test_traced_run_matches_untraced(tmp_path, command):
     assert calls.get("core.l2.mark_dirty", 0) == writebacks
     if command == "sim":
         assert writebacks > 0 and counts["simulator.resizes"] > 0
+        # The controller installs L1D evictions through the traced insert.
+        assert calls.get("backup.insert", 0) > 0

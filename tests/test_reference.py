@@ -56,8 +56,9 @@ def test_simulator_matches_reference(config, ops):
     assert sim.rng.getstate() == ref.rng.getstate()
 
 
-@pytest.mark.xfail(strict=True, reason="a case-11 store leaves the line dirty in both "
-                   "the L1D and the backup, so it is written back twice (ROADMAP item 3)")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a case-11 store leaves the line dirty in both the L1D and "
+                   "the backup, so it is written back twice (ROADMAP item 2)")
 @settings(max_examples=400, deadline=None, derandomize=True, phases=[Phase.generate])
 @given(config=tiny_configs(), ops=OPS)
 def test_each_writeback_retires_one_pending_store(config, ops):
