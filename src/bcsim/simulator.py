@@ -100,6 +100,9 @@ class Simulator:
     All randomness (initial backup size, resize draws, victim selection)
     comes from a single generator seeded from the config, so identical
     (config, trace) pairs replay identically.
+
+    hit_outcomes: the one outcome ("10", "11") each resize-free L1 hit
+    returns, indexed by the BC probe result; callers may count by identity.
     """
 
     def __init__(self, config: SimConfig):
@@ -114,10 +117,8 @@ class Simulator:
         self._l1_hit_cycles = config.l1d.hit_cycles
         self._l2_hit_cycles = config.l2.hit_cycles
         self._l2_miss_cycles = config.l2.hit_cycles + config.memory_penalty_cycles
-        # Outcomes are immutable, so every resize-free L1 hit shares the
-        # one for its case, indexed by the BC probe's result.
-        self._hit_outcomes = (AccessOutcome("10", config.l1d.hit_cycles),
-                              AccessOutcome("11", config.l1d.hit_cycles))
+        self.hit_outcomes = (AccessOutcome("10", config.l1d.hit_cycles),
+                             AccessOutcome("11", config.l1d.hit_cycles))
         self._line_mask = ~(config.l1d.line_bytes - 1)
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
@@ -137,8 +138,8 @@ class Simulator:
         In backup mode every access probes the BC exactly once, with
         lookup(line, store): a hit marks the line re-used, and a store hit
         also dirties it. Outcomes are immutable and may be shared between
-        accesses: every L1 hit that does not resize returns the same
-        outcome object for its case.
+        accesses: every L1 hit that does not resize returns
+        hit_outcomes[bu_hit] itself.
         """
         # The one address check of an access: the paths below index the
         # L1D and L2 sets directly.
@@ -154,18 +155,16 @@ class Simulator:
         backup = self.backup
         if backup is None:
             if dirty is not None:
-                return self._hit_outcomes[False]
+                return self.hit_outcomes[False]
             bu_hit = False
         else:
             bu_hit = backup.lookup(addr & self._line_mask, store)
             if dirty is not None:
                 count = self.mem_access_count = self.mem_access_count - 1
                 if count > 0:
-                    return self._hit_outcomes[bu_hit]
-                writebacks: list[int] = []
-                resized = self._resize(writebacks)
-                return self._hit_outcomes[bu_hit]._replace(writebacks=tuple(writebacks),
-                                                           resized=resized)
+                    return self.hit_outcomes[bu_hit]
+                resized, writebacks = self._resize()
+                return self.hit_outcomes[bu_hit]._replace(writebacks=writebacks, resized=resized)
         # An L1D miss. On a BC hit the line fill happens after the response,
         # and the BC keeps its copy, so the L1 copy is installed clean.
         # Otherwise the line comes from the L2, which allocates it clean on a
@@ -190,40 +189,38 @@ class Simulator:
                 latency = self._l2_miss_cycles
         # Install the line as MRU. A displaced dirty line is written back,
         # and with a BC the displaced line is then placed there clean.
-        writebacks = []
+        writebacks = ()
         eviction = None
         if len(ways) == l1d.num_ways:
             victim = next(iter(ways))
             eviction = (victim << l1d.tag_shift) | (addr & l1d.index_field)
             if ways.pop(victim):
                 self.l2.mark_dirty(eviction)
-                writebacks.append(eviction)
+                writebacks = (eviction,)
             if backup is not None:
                 displaced = backup.insert(eviction)
                 if displaced is not None and displaced[1]:
                     self.l2.mark_dirty(displaced[0])
-                    writebacks.append(displaced[0])
+                    writebacks += (displaced[0],)
         ways[tag] = store
         resized = None
         if backup is not None:
             self.mem_access_count -= 1
             if self.mem_access_count <= 0:
-                resized = self._resize(writebacks)
-        return AccessOutcome(case, latency, eviction, tuple(writebacks), resized, l2_hit)
+                resized, written_back = self._resize()
+                writebacks += written_back
+        # What the namedtuple's generated __new__ does, without its Python frame.
+        return tuple.__new__(AccessOutcome, (case, latency, eviction, writebacks, resized, l2_hit))
 
-    def _resize(self, writebacks: list[int]) -> tuple[int, int]:
-        """Resize the backup once the access counter runs out.
-
-        Returns (old size, new size), appending the lines the shrink wrote
-        back to writebacks.
-        """
+    def _resize(self) -> tuple[tuple[int, int], tuple[int, ...]]:
+        """Resize the BC once the countdown runs out: ((old, new), write-backs)."""
         old = self.backup.current_size
         new = self.rng.randint(self.config.backup_min, self.config.backup_max)
         self.mem_access_count = self.config.fixed_threshold or new
-        for wb in self.backup.resize(new):
+        written_back = tuple(self.backup.resize(new))
+        for wb in written_back:
             self.l2.mark_dirty(wb)
-            writebacks.append(wb)
-        return old, new
+        return (old, new), written_back
 
     # -- other events -------------------------------------------------
 

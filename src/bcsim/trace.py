@@ -98,10 +98,16 @@ class SimStats:
 
 
 def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:
-    """Apply every record in order and accumulate statistics."""
+    """Apply every record in order and accumulate statistics.
+
+    A resize-free L1 hit, one of sim.hit_outcomes, is only counted (by
+    identity); every other outcome is unpacked in full.
+    """
     access = sim.access
+    hit10, hit11 = sim.hit_outcomes
     cases = {"00": 0, "01": 0, "10": 0, "11": 0}
     l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
+    n10 = n11 = 0
     for kind, addr in records:
         if kind == KIND_CTXSWITCH:
             sim.context_switch()
@@ -110,7 +116,14 @@ def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:
             sim.external_invalidate(addr)
             invalidations += 1
         else:
-            case, cycles, _, wbs, resized, l2_hit = access(addr, kind == KIND_STORE)
+            outcome = access(addr, kind == KIND_STORE)
+            if outcome is hit10:
+                n10 += 1
+                continue
+            if outcome is hit11:
+                n11 += 1
+                continue
+            case, cycles, _, wbs, resized, l2_hit = outcome
             cases[case] += 1
             latency += cycles
             if l2_hit is not None:
@@ -121,6 +134,9 @@ def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:
             writebacks += len(wbs)
             if resized is not None:
                 resizes += 1
+    cases["10"] += n10
+    cases["11"] += n11
+    latency += (n10 + n11) * hit10.latency_cycles
     return SimStats(
         accesses=sum(cases.values()),
         case_counts=cases,

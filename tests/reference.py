@@ -10,10 +10,14 @@ It draws from its RNG in the same order as the simulator: one randint for
 the initial backup size, one randrange per victim, one randint per resize.
 bit_slice splits an address by text slicing of its binary digits, for the
 address tests of test_core.py and test_attacks.py; resident reads an L1D or
-L2 line's residency from the cache's state_tuple() with it.
+L2 line's residency from the cache's state_tuple() with it. run_trace_unpacked
+is bcsim.trace.run_trace without its shared-hit fast path: it unpacks every
+outcome, so test_trace.py can check that the fast path counts the same.
 """
 
 import random
+
+from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_STORE, SimStats
 
 
 def bit_slice(addr, geo):
@@ -254,3 +258,42 @@ class RefSimulator:
         in_bu = self.backup is not None and self.backup.invalidate(line)
         in_l2 = self.l2.invalidate(line)
         return in_l1 or in_bu or in_l2
+
+
+def run_trace_unpacked(sim, records):
+    """Apply every record to sim in order, unpacking every access outcome."""
+    cases = {"00": 0, "01": 0, "10": 0, "11": 0}
+    l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
+    for kind, addr in records:
+        if kind == KIND_CTXSWITCH:
+            sim.context_switch()
+            ctx_switches += 1
+        elif kind == KIND_INVALIDATE:
+            sim.external_invalidate(addr)
+            invalidations += 1
+        else:
+            case, cycles, _, wbs, resized, l2_hit = sim.access(addr, kind == KIND_STORE)
+            cases[case] += 1
+            latency += cycles
+            if l2_hit is not None:
+                if l2_hit:
+                    l2_hits += 1
+                else:
+                    l2_misses += 1
+            writebacks += len(wbs)
+            if resized is not None:
+                resizes += 1
+    return SimStats(
+        accesses=sum(cases.values()),
+        case_counts=cases,
+        l1d_hits=cases["10"] + cases["11"],
+        l1d_misses=cases["00"] + cases["01"],
+        backup_hits=cases["01"] + cases["11"],
+        l2_hits=l2_hits,
+        l2_misses=l2_misses,
+        writebacks=writebacks,
+        resizes=resizes,
+        ctx_switches=ctx_switches,
+        invalidations=invalidations,
+        total_latency_cycles=latency,
+    )

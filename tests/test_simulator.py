@@ -14,6 +14,7 @@ from bcsim.simulator import (
     backup_config,
     baseline_config,
 )
+from bcsim.trace import KIND_LOAD, KIND_STORE, run_trace
 
 GEO = SimConfig().l1d
 
@@ -249,18 +250,27 @@ def test_resizing_l1_hit_carries_its_resize(case, ops):
                         l2=CacheGeometry(64, 4, 4, 20), backup_min=1, backup_max=2,
                         fixed_threshold=8, seed=seed)
         sim, ref = Simulator(cfg), RefSimulator(cfg)
+        records = [(KIND_STORE if op[0] == "W" else KIND_LOAD, lines[op[1]])
+                   for op in ops.split()]
         outcomes = []
-        for op in ops.split():
-            addr, store = lines[op[1]], op[0] == "W"
-            outcomes.append(sim.access(addr, store))
-            assert tuple(outcomes[-1]) == ref.access(addr, store)
+        for kind, addr in records:
+            outcomes.append(sim.access(addr, kind == KIND_STORE))
+            assert tuple(outcomes[-1]) == ref.access(addr, kind == KIND_STORE)
         resizing, after = outcomes[7], outcomes[8]
         assert resizing.case in ("10", "11") and resizing.resized is not None
-        assert after.case in ("10", "11")
+        assert resizing is not sim.hit_outcomes[resizing.case == "11"]
+        assert after is sim.hit_outcomes[after.case == "11"]
         assert after.resized is None and after.writebacks == ()
         if resizing.case == case and resizing.writebacks:
             seen_writeback = True
             assert resizing.writebacks == (lines["A"],)
+        # run_trace counts the shared hits by identity and unpacks the rest.
+        stats = run_trace(Simulator(cfg), records)
+        assert stats.case_counts == {c: sum(o.case == c for o in outcomes)
+                                     for c in ("00", "01", "10", "11")}
+        assert stats.total_latency_cycles == sum(o.latency_cycles for o in outcomes)
+        assert stats.writebacks == sum(len(o.writebacks) for o in outcomes)
+        assert stats.resizes == 1
     assert seen_writeback
 
 

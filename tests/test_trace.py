@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import run_trace_unpacked
 
-from bcsim.simulator import SimConfig, Simulator, baseline_config
+from bcsim.core import CacheGeometry
+from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, SimConfig, Simulator, baseline_config
 from bcsim.trace import (
     KIND_CTXSWITCH,
     KIND_INVALIDATE,
@@ -51,6 +53,9 @@ CTXSWITCH = (KIND_CTXSWITCH, None)
     (" CS\r\n", CTXSWITCH),
     ("  # indented comment", None),
     ("\t#", None),
+    # Fields split on any Unicode whitespace, as str.split() does.
+    ("R\x0c0x1040", LOAD_1040),
+    ("R\xa00x1040", LOAD_1040),
 ])
 def test_parse_tolerates_whitespace_and_comments(line, expected):
     assert parse_line(1, line) == expected
@@ -200,3 +205,38 @@ def test_fitting_working_set_equal_misses_in_both_modes():
     s1 = run_trace(Simulator(backup_cfg), records)
     s2 = run_trace(Simulator(base_cfg), records)
     assert s1.case_counts["00"] == s2.case_counts["00"] == 100
+
+
+_RECORD_KINDS = (KIND_LOAD, KIND_LOAD, KIND_LOAD, KIND_STORE, KIND_STORE, KIND_CTXSWITCH,
+                 KIND_INVALIDATE)
+
+
+def _decode_records(raw):
+    """One record per byte: a kind, and for an access or an INV one of ten
+    lines at one of four offsets."""
+    records = []
+    for b in raw:
+        kind = _RECORD_KINDS[b % len(_RECORD_KINDS)]
+        records.append((kind, None if kind == KIND_CTXSWITCH else b // 7 * 16))
+    return records
+
+
+@pytest.mark.parametrize("mode, threshold", [
+    (MODE_BASELINE, None),
+    (MODE_BACKUP, None),
+    (MODE_BACKUP, 1),
+    (MODE_BACKUP, 7),
+], ids=["baseline", "dynamic", "fixed1", "fixed7"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), raw=st.binary(max_size=300))
+def test_run_trace_counts_what_the_full_unpack_counts(mode, threshold, seed, raw):
+    """run_trace counts shared hit outcomes by identity; the stats and the
+    final state equal those of a loop that unpacks every outcome. A 4-line
+    L1D and a 1-4 line BC over ten lines make hits, BC hits and misses all
+    common, and the fixed thresholds put resizes on L1 hits."""
+    config = SimConfig(mode=mode, l1d=CacheGeometry(64, 2, 2, 3), l2=CacheGeometry(64, 2, 4, 20),
+                       backup_min=1, backup_max=4, fixed_threshold=threshold, seed=seed)
+    records = _decode_records(raw)
+    fast, full = Simulator(config), Simulator(config)
+    assert run_trace(fast, records).as_dict() == run_trace_unpacked(full, records).as_dict()
+    assert fast.state_digest() == full.state_digest()
