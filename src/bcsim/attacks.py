@@ -8,14 +8,11 @@ scenario is reproducible from its seed.
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .core import ADDR_LIMIT, CacheError, CacheGeometry, compose
 from .simulator import ConfigError, SimConfig, Simulator
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Tag ranges keeping attacker, victim, and T-table addresses disjoint, in rising order.
 _ATTACKER_TAG_SPACE = 1 << 20
@@ -144,12 +141,14 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
 class AesAttackResult:
     """Per-sample, per-set probe latencies for the T-table attack.
 
-    latencies and touched are (n_samples, 64) arrays; touched marks the
-    sets the victim actually accessed in that sample.
+    latencies and touched are C-contiguous (n_samples, 64) memoryviews of
+    format "q" (int64) and "?" (bool); touched marks the sets the victim
+    actually accessed in that sample. Each has .shape, len(), .tolist() and
+    [sample, set] indexing, and numpy.asarray() wraps it without a copy.
     """
 
-    latencies: "np.ndarray"
-    touched: "np.ndarray"
+    latencies: memoryview
+    touched: memoryview
     plaintexts: list[bytes] = field(repr=False)
 
 
@@ -168,8 +167,6 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     """
     if len(key) != 16:
         raise CacheError("key must be 16 bytes")
-    import numpy as np  # here, so that only this scenario loads numpy
-
     geo = config.l1d
     rng = random.Random(seed)
     es = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)
@@ -177,14 +174,21 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     sim = Simulator(config)
     # T-table line i sits in set i; a sample's victim list indexes this.
     table_lines = [compose(_TTABLE_TAG_BASE, i, geo) for i in range(N_TTABLE_SETS)]
-    latencies = np.zeros((n_samples, N_TTABLE_SETS), dtype=np.int64)
-    touched = np.zeros((n_samples, N_TTABLE_SETS), dtype=bool)
+    # memoryview.cast refuses a zero dimension, so zero samples slice one row away.
+    shape = (max(n_samples, 1), N_TTABLE_SETS)
+    latencies = array("q", [0]) * (shape[0] * N_TTABLE_SETS)
+    touched = bytearray(shape[0] * N_TTABLE_SETS)
     plaintexts = []
     for sample in range(n_samples):
         plaintext = rng.randbytes(16)
         plaintexts.append(plaintext)
         indices = [(i % 4) * _LINES_PER_TABLE + ((plaintext[i] ^ key[i]) >> 4)
                    for i in range(16)]
-        touched[sample, indices] = True
-        latencies[sample] = _prime_probe(sim, groups, [table_lines[i] for i in indices])
-    return AesAttackResult(latencies=latencies, touched=touched, plaintexts=plaintexts)
+        row = sample * N_TTABLE_SETS
+        for i in indices:
+            touched[row + i] = True
+        latencies[row:row + N_TTABLE_SETS] = array(
+            "q", _prime_probe(sim, groups, [table_lines[i] for i in indices]))
+    return AesAttackResult(latencies=memoryview(latencies).cast("B").cast("q", shape)[:n_samples],
+                           touched=memoryview(touched).cast("?", shape)[:n_samples],
+                           plaintexts=plaintexts)

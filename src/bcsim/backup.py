@@ -87,8 +87,14 @@ class BackupCache:
         """Tiered random victim choice among enabled lines."""
         for tier in (self.invalid, self.used1, self.used0):
             if tier:
-                # choice(tier) draws the same slot as tier[randrange(len(tier))].
-                return self.rng.choice(tier)
+                # Random.choice's own draw, without its two Python frames:
+                # getrandbits(k), redrawn until it falls below n.
+                n = len(tier)
+                k = n.bit_length()
+                r = self.rng.getrandbits(k)
+                while r >= n:
+                    r = self.rng.getrandbits(k)
+                return tier[r]
         raise CacheError("no enabled line to select a victim from")
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:

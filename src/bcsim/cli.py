@@ -235,15 +235,12 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
             raise click.UsageError(f"bad --key: {exc}") from exc
         if len(key) != 16:
             raise click.UsageError("--key must be 16 bytes of hex")
-        # numpy is loaded here, in setup: a caller that times run_aes_attack
-        # (as perfbench does) must not count its import as simulation.
-        import numpy  # noqa: F401
-
         result = run_aes_attack(config, samples, key, seed=config.seed)
-        text = _csv_text([[f"set_{j}" for j in range(result.latencies.shape[1])],
-                          *result.latencies.tolist()])
-        means = result.latencies.mean(axis=0) if samples else None
-        spread = float(means.max() - means.min()) if samples else 0.0
+        rows = result.latencies.tolist()
+        text = _csv_text([[f"set_{j}" for j in range(result.latencies.shape[1])], *rows])
+        # Each column sum is an exact integer (below 2**53): a mean is one rounded division.
+        means = [sum(col) / samples for col in zip(*rows)]
+        spread = max(means) - min(means) if samples else 0.0
         click.echo(f"per_set_mean_latency_spread={spread:.2f}")
     _write_with_manifest(out, text, f"attack {scenario}", config, started)
     click.echo(f"wrote {out}")

@@ -3,6 +3,8 @@ and holds the AES probe-map statistics the attack tests share."""
 
 import re
 
+import numpy as np
+
 CRITERIA = {
     1: "closed-form average success probability matches the reference "
        "values for the three size ranges",
@@ -29,15 +31,17 @@ CRITERIA = {
 
 def aes_set_mean_gap(result) -> float:
     """Mean probe latency over touched (sample, set) cells minus untouched ones."""
-    touched_mean = float(result.latencies[result.touched].mean())
-    untouched_mean = float(result.latencies[~result.touched].mean())
+    latencies, touched = np.asarray(result.latencies), np.asarray(result.touched)
+    touched_mean = float(latencies[touched].mean())
+    untouched_mean = float(latencies[~touched].mean())
     return touched_mean - untouched_mean
 
 
 def aes_max_set_deviation(result) -> float:
     """Largest absolute deviation of a per-set mean from the grand mean."""
-    set_means = result.latencies.mean(axis=0)
-    return float(abs(set_means - result.latencies.mean()).max())
+    latencies = np.asarray(result.latencies)
+    set_means = latencies.mean(axis=0)
+    return float(abs(set_means - latencies.mean()).max())
 
 
 _verdicts = {}

@@ -153,7 +153,7 @@ def test_aes_first_round_touch_model():
     for sample in range(50):
         p = result.plaintexts[sample]
         expect = {(i % 4) * 16 + ((p[i] ^ KEY[i]) >> 4) for i in range(16)}
-        assert set(np.flatnonzero(result.touched[sample])) == expect
+        assert set(np.flatnonzero(np.asarray(result.touched)[sample])) == expect
 
 
 def test_aes_baseline_bimodal():
@@ -169,4 +169,4 @@ def test_aes_backup_uniform():
 def test_aes_reproducible():
     a = run_aes_attack(backup_config(seed=3), 20, KEY, seed=3)
     b = run_aes_attack(backup_config(seed=3), 20, KEY, seed=3)
-    assert np.array_equal(a.latencies, b.latencies)
+    assert np.array_equal(np.asarray(a.latencies), np.asarray(b.latencies))

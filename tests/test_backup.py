@@ -96,6 +96,17 @@ def test_victim_uniform_over_unused_lines():
         assert abs(c - expect) <= 3 * sigma
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+def test_victim_draw_matches_random_choice(seed):
+    """select_victim draws the slot rng.choice would, and leaves the same RNG state."""
+    for n in range(1, 257):
+        bc = make_backup(min_size=n, max_size=n, seed=seed)  # every slot invalid
+        ref = random.Random(seed)
+        for _ in range(3):
+            assert bc.select_victim() == ref.choice(bc.invalid)
+            assert bc.rng.getstate() == ref.getstate()
+
+
 def test_insert_uses_invalid_slot_first():
     bc = make_backup(min_size=4, max_size=4)
     fill(bc, 3)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -193,7 +194,7 @@ def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
     (["sweep", "--trace", "TRACE", "--thresholds", "50", "--out", "OUT"], False),
     (["analyze", "--trials", "0", "--out", "OUT"], False),
     (["analyze", "--trials", "10", "--out", "OUT"], True),
-    (["attack", "aes", "--samples", "1", "--out", "OUT"], True),
+    (["attack", "aes", "--samples", "1", "--out", "OUT"], False),
 ], ids=["sweep", "analyze-closed-form", "analyze-monte-carlo", "attack-aes"])
 def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_imported):
     subs = {"TRACE": str(trace_file), "OUT": str(tmp_path / "o.csv")}
@@ -204,39 +205,14 @@ def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_im
 @pytest.mark.parametrize("argv", [
     ["sim", "--trace", "TRACE", "--format", "structured"],
     ["sweep", "--trace", "TRACE", "--thresholds", "25,100"],
-], ids=["sim", "sweep"])
-def test_sim_and_sweep_run_without_numpy(tmp_path, trace_file, argv):
+    ["attack", "aes", "--samples", "3"],
+], ids=["sim", "sweep", "attack-aes"])
+def test_commands_run_without_numpy(tmp_path, trace_file, argv):
     argv = [str(trace_file) if a == "TRACE" else a for a in argv]
     here, fresh = tmp_path / "here.out", tmp_path / "fresh.out"
     assert main([*argv, "--out", str(here)]) == EXIT_OK
     report = _sim_in_fresh_process([*argv, "--out", str(fresh)], no_numpy=True)
     assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False}
-    assert fresh.read_bytes() == here.read_bytes()
-
-
-_AES_IN_FRESH_PROCESS = """
-import json, sys
-import bcsim.cli
-at_import = "numpy" in sys.modules
-at_entry = []
-attack = bcsim.cli.run_aes_attack
-def timed(*args, **kwargs):  # wraps the module attribute, as perfbench/child.py does
-    at_entry.append("numpy" in sys.modules)
-    return attack(*args, **kwargs)
-bcsim.cli.run_aes_attack = timed
-rc = bcsim.cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "at_import": at_import, "at_entry": at_entry}))
-"""
-
-
-def test_attack_aes_loads_numpy_before_the_timed_call(tmp_path):
-    """numpy's import belongs to setup: a caller timing cli.run_aes_attack
-    from its entry must find numpy already loaded."""
-    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
-    argv = ["attack", "aes", "--samples", "3"]
-    assert main([*argv, "--out", str(here)]) == EXIT_OK
-    report = _in_fresh_process(_AES_IN_FRESH_PROCESS, [*argv, "--out", str(fresh)])
-    assert report == {"rc": EXIT_OK, "at_import": False, "at_entry": [True]}
     assert fresh.read_bytes() == here.read_bytes()
 
 
@@ -246,15 +222,17 @@ from bcsim.attacks import run_aes_attack
 from bcsim.simulator import SimConfig
 imported = "numpy" in sys.modules
 result = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1)
-print(json.dumps({"numpy_at_import": imported, "type": type(result.latencies).__name__,
+print(json.dumps({"numpy_at_import": imported, "numpy_after_call": "numpy" in sys.modules,
+                  "type": type(result.latencies).__name__, "format": result.latencies.format,
                   "shape": result.latencies.shape, "latencies": result.latencies.tolist()}))
 """
 
 
-def test_run_aes_attack_imports_numpy_itself():
+def test_run_aes_attack_never_imports_numpy():
     report = _in_fresh_process(_AES_API_IN_FRESH_PROCESS, [])
     expected = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1).latencies
-    assert report == {"numpy_at_import": False, "type": "ndarray", "shape": [2, 64],
+    assert report == {"numpy_at_import": False, "numpy_after_call": False,
+                      "type": "memoryview", "format": "q", "shape": [2, 64],
                       "latencies": expected.tolist()}
 
 
@@ -307,6 +285,28 @@ def test_attack_aes(tmp_path):
     assert rows[0][0] == "set_0"
     assert len(rows) == 6
     assert len(rows[1]) == 64
+
+
+@pytest.mark.parametrize("config_text, samples", [
+    ("mode: baseline\n", 40),
+    (None, 40),
+    (None, 0),
+], ids=["baseline", "defended", "no-samples"])
+def test_attack_aes_echoes_per_set_mean_spread(tmp_path, capsys, config_text, samples):
+    """The echoed spread is the max minus min of the per-set mean latencies."""
+    argv = ["attack", "aes", "--samples", str(samples), "--seed", "4"]
+    config_path = None
+    if config_text is not None:
+        config_path = tmp_path / "c.yaml"
+        config_path.write_text(config_text)
+        argv += ["--config", str(config_path)]
+    assert main([*argv, "--out", str(tmp_path / "aes.csv")]) == EXIT_OK
+    result = run_aes_attack(load_config(config_path and str(config_path), 4), samples,
+                            bytes(range(16)), seed=4)
+    means = np.asarray(result.latencies).mean(axis=0) if samples else np.zeros(1)
+    spread = means.max() - means.min()
+    assert capsys.readouterr().out.splitlines()[0] == f"per_set_mean_latency_spread={spread:.2f}"
+    assert (spread > 0) == bool(samples)  # so a sampled run checks a non-zero value
 
 
 def test_attack_bad_key(tmp_path):
