@@ -12,7 +12,9 @@ from array import array
 from dataclasses import dataclass, field
 
 from .core import ADDR_LIMIT, CacheError, CacheGeometry, compose
-from .simulator import ConfigError, SimConfig, Simulator
+from .simulator import KIND_CTXSWITCH, KIND_LOAD, ConfigError, SimConfig, Simulator
+
+_CTXSWITCH = (KIND_CTXSWITCH, None)
 
 # Tag ranges keeping attacker, victim, and T-table addresses disjoint, in rising order.
 _ATTACKER_TAG_SPACE = 1 << 20
@@ -63,24 +65,20 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.R
     return EvictionSet(set_lines=set_lines, filler=filler)
 
 
-def _prime_probe(sim: Simulator, groups: list[list[int]], victim: list[int]) -> list[int]:
-    """One round: prime each group, context switch, load the victim's
-    addresses, context switch, and return each group's summed probe
-    latency, probing in prime order."""
-    load = sim.access
-    for group in groups:
-        for addr in group:
-            load(addr)
-    sim.context_switch()
-    for addr in victim:
-        load(addr)
-    sim.context_switch()
+def _prime_probe(sim: Simulator, groups: list[list[int]], prime: list[tuple],
+                 victim: list[int]) -> list[int]:
+    """One round as one batch: prime each group (prime holds a load of each
+    group's addresses, in order), context switch, load the victim's
+    addresses, context switch, probe in prime order; returns each group's
+    summed probe latency."""
+    latencies: list[int] = []
+    sim.run(prime + [_CTXSWITCH] + [(KIND_LOAD, addr) for addr in victim] + [_CTXSWITCH] + prime,
+            latencies)
     totals = []
+    end = len(latencies) - len(prime)
     for group in groups:
-        total = 0
-        for addr in group:
-            total += load(addr).latency_cycles
-        totals.append(total)
+        start, end = end, end + len(group)
+        totals.append(sum(latencies[start:end]))
     return totals
 
 
@@ -123,12 +121,13 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
     geo = config.l1d
     es = build_eviction_set(geo, [TARGET_SET], random.Random(seed), filler_bytes)
     groups = [es.all_lines()]
+    prime = [(KIND_LOAD, addr) for group in groups for addr in group]
     latencies = []
     victim_tags = itertools.count(_VICTIM_TAG_BASE)
     for bit in secret_bits:
         victim = [compose(next(victim_tags), TARGET_SET, geo)
                   for _ in range(geo.ways)] if bit else []
-        latencies.extend(_prime_probe(sim, groups, victim))
+        latencies.extend(_prime_probe(sim, groups, prime, victim))
     lat0 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 0]
     lat1 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 1]
     predicted, _, degenerate = classify_threshold(lat0, lat1, latencies)
@@ -171,6 +170,7 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     rng = random.Random(seed)
     es = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)
     groups = list(es.set_lines.values())
+    prime = [(KIND_LOAD, addr) for group in groups for addr in group]
     sim = Simulator(config)
     # T-table line i sits in set i; a sample's victim list indexes this.
     table_lines = [compose(_TTABLE_TAG_BASE, i, geo) for i in range(N_TTABLE_SETS)]
@@ -188,7 +188,7 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
         for i in indices:
             touched[row + i] = True
         latencies[row:row + N_TTABLE_SETS] = array(
-            "q", _prime_probe(sim, groups, [table_lines[i] for i in indices]))
+            "q", _prime_probe(sim, groups, prime, [table_lines[i] for i in indices]))
     return AesAttackResult(latencies=memoryview(latencies).cast("B").cast("q", shape)[:n_samples],
                            touched=memoryview(touched).cast("?", shape)[:n_samples],
                            plaintexts=plaintexts)

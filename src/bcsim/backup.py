@@ -37,7 +37,8 @@ class BackupCache:
     random draw among used1, then among used0; a draw indexes a list
     instead of scanning the lines. The enabled size, max_size minus the
     disabled slots, can be resized between min_size and max_size, the
-    physical number of lines.
+    physical number of lines. Every method changes the lists in place, so
+    Simulator.run may hold them across its calls.
     """
 
     def __init__(self, min_size: int, max_size: int, initial_size: int,
@@ -65,7 +66,8 @@ class BackupCache:
         return addr in self._where
 
     def lookup(self, addr: int, store: bool = False) -> bool:
-        """Probe a line-aligned address; a hit marks the line re-used, a store hit also dirty."""
+        """Probe a line-aligned address; a hit marks the line re-used, a store hit also dirty.
+        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP item 4)."""
         slot = self._where.get(addr)
         if slot is None:
             return False
@@ -150,8 +152,8 @@ class BackupCache:
         for slot in self.used1:
             self.lines[slot].used = False
         count = len(self.used1)
-        self.used0 = sorted(self.used0 + self.used1)
-        self.used1 = []
+        self.used0[:] = sorted(self.used0 + self.used1)
+        self.used1.clear()
         return count
 
     def resize(self, new_size: int) -> list[int]:
@@ -166,7 +168,7 @@ class BackupCache:
         writebacks: list[int] = []
         change = new_size - self.current_size
         if change > 0:
-            self.invalid = sorted(self.invalid + self.disabled[:change])
+            self.invalid[:] = sorted(self.invalid + self.disabled[:change])
             del self.disabled[:change]
         for _ in range(-change):
             dirty_addr = self._empty(self.select_victim(), self.disabled)

@@ -2,16 +2,24 @@
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from bisect import bisect_left, insort
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, NamedTuple, Optional
 
 from .backup import BackupCache
-from .core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, check_addr
+from .core import ADDR_BITS, CacheError, CacheGeometry, SetAssociativeCache, check_addr
 
 DEFAULT_SEED = 0xB4C4E
 
 MODE_BASELINE = "baseline"
 MODE_BACKUP = "backup"
+
+# Record kinds: a record is (kind, address), with address None for a context switch.
+KIND_LOAD = "load"
+KIND_STORE = "store"
+KIND_CTXSWITCH = "ctxswitch"
+KIND_INVALIDATE = "invalidate"
+_EVENT_KINDS = (KIND_CTXSWITCH, KIND_INVALIDATE)
 
 
 class ConfigError(CacheError):
@@ -94,6 +102,43 @@ class AccessOutcome(NamedTuple):
     l2_hit: Optional[bool] = None
 
 
+@dataclass
+class SimStats:
+    """Aggregate counters of one Simulator.run."""
+
+    accesses: int = 0
+    case_counts: dict = field(default_factory=lambda: {"00": 0, "01": 0, "10": 0, "11": 0})
+    l1d_hits: int = 0
+    l1d_misses: int = 0
+    backup_hits: int = 0
+    l2_hits: int = 0
+    l2_misses: int = 0
+    writebacks: int = 0
+    resizes: int = 0
+    ctx_switches: int = 0
+    invalidations: int = 0
+    total_latency_cycles: int = 0
+
+    @property
+    def avg_access_latency(self) -> float:
+        return self.total_latency_cycles / self.accesses if self.accesses else 0.0
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "avg_access_latency": self.avg_access_latency}
+
+    def as_text(self) -> str:
+        lines = []
+        for key, value in self.as_dict().items():
+            if key == "case_counts":
+                for case, count in sorted(value.items()):
+                    lines.append(f"case_{case}={count}")
+            elif key == "avg_access_latency":
+                lines.append(f"{key}={value:.6f}")
+            else:
+                lines.append(f"{key}={value}")
+        return "\n".join(lines) + "\n"
+
+
 class Simulator:
     """Deterministic state machine over one L1D (+ optional backup) and one L2.
 
@@ -102,7 +147,7 @@ class Simulator:
     (config, trace) pairs replay identically.
 
     hit_outcomes: the one outcome ("10", "11") each resize-free L1 hit
-    returns, indexed by the BC probe result; callers may count by identity.
+    returns, indexed by the BC probe result.
     """
 
     def __init__(self, config: SimConfig):
@@ -133,84 +178,159 @@ class Simulator:
     # -- memory access ------------------------------------------------
 
     def access(self, addr: int, store: bool = False) -> AccessOutcome:
-        """Run one load (store=False) or store through the hierarchy.
+        """Run one load (store=False) or store through the hierarchy: a
+        one-record run whose outcome comes from its events sink."""
+        events: list = []
+        self.run(((KIND_STORE if store else KIND_LOAD, addr),), None, events)
+        return events[0]
 
-        In backup mode every access probes the BC exactly once, with
-        lookup(line, store): a hit marks the line re-used, and a store hit
-        also dirties it. Outcomes are immutable and may be shared between
-        accesses: every L1 hit that does not resize returns
-        hit_outcomes[bu_hit] itself.
+    def run(self, records: Iterable[tuple[str, Optional[int]]], latencies: Optional[list] = None,
+            events: Optional[list] = None) -> SimStats:
+        """Apply (kind, address) records in order and return their statistics.
+
+        The one implementation of an access. In backup mode every access
+        probes the BC exactly once, in parallel with the L1D: a hit marks
+        the line re-used, and a store hit also dirties it. The L2 fetch and
+        the L1 install are inline too; the BC install, write-backs, resizes,
+        context switches and invalidations are method calls. latencies gets
+        each access's latency; events gets each record's result, as access,
+        context_switch or external_invalidate returns it. Outcomes are
+        immutable and may be shared: every L1 hit that does not resize
+        records hit_outcomes[bu_hit] itself.
         """
-        # The one address check of an access: the paths below index the
-        # L1D and L2 sets directly.
-        if not 0 <= addr < ADDR_LIMIT:
-            check_addr(addr)
-        l1d = self.l1d
-        ways = l1d.sets[(addr >> l1d.offset_bits) & l1d.index_mask]
-        tag = addr >> l1d.tag_shift
-        # An L1D hit makes the line most recently used, and a store dirties it.
-        dirty = ways.pop(tag, None)
-        if dirty is not None:
-            ways[tag] = True if store else dirty
-        backup = self.backup
-        if backup is None:
-            if dirty is not None:
-                return self.hit_outcomes[False]
-            bu_hit = False
-        else:
-            bu_hit = backup.lookup(addr & self._line_mask, store)
-            if dirty is not None:
-                count = self.mem_access_count = self.mem_access_count - 1
-                if count > 0:
-                    return self.hit_outcomes[bu_hit]
-                resized, writebacks = self._resize()
-                return self.hit_outcomes[bu_hit]._replace(writebacks=writebacks, resized=resized)
-        # An L1D miss. On a BC hit the line fill happens after the response,
-        # and the BC keeps its copy, so the L1 copy is installed clean.
-        # Otherwise the line comes from the L2, which allocates it clean on a
-        # miss and drops its LRU victim (memory traffic is not modeled).
-        if bu_hit:
-            case, latency, l2_hit = "01", self._l1_hit_cycles, None
-            store = False
-        else:
-            case = "00"
-            l2 = self.l2
-            l2_ways = l2.sets[(addr >> l2.offset_bits) & l2.index_mask]
-            l2_tag = addr >> l2.tag_shift
-            l2_dirty = l2_ways.pop(l2_tag, None)
-            l2_hit = l2_dirty is not None
-            if l2_hit:
-                l2_ways[l2_tag] = l2_dirty
-                latency = self._l2_hit_cycles
-            else:
-                if len(l2_ways) == l2.num_ways:
-                    del l2_ways[next(iter(l2_ways))]
-                l2_ways[l2_tag] = False
-                latency = self._l2_miss_cycles
-        # Install the line as MRU. A displaced dirty line is written back,
-        # and with a BC the displaced line is then placed there clean.
-        writebacks = ()
-        eviction = None
-        if len(ways) == l1d.num_ways:
-            victim = next(iter(ways))
-            eviction = (victim << l1d.tag_shift) | (addr & l1d.index_field)
-            if ways.pop(victim):
-                self.l2.mark_dirty(eviction)
-                writebacks = (eviction,)
-            if backup is not None:
-                displaced = backup.insert(eviction)
-                if displaced is not None and displaced[1]:
-                    self.l2.mark_dirty(displaced[0])
-                    writebacks += (displaced[0],)
-        ways[tag] = store
-        resized = None
+        l1d, l2, backup = self.l1d, self.l2, self.backup
+        l1_sets, l1_offset, l1_mask = l1d.sets, l1d.offset_bits, l1d.index_mask
+        l1_shift, l1_ways, l1_index = l1d.tag_shift, l1d.num_ways, l1d.index_field
+        l2_sets, l2_offset, l2_mask = l2.sets, l2.offset_bits, l2.index_mask
+        l2_shift, l2_ways = l2.tag_shift, l2.num_ways
+        l1_cycles, l2_cycles, miss_cycles = (
+            self._l1_hit_cycles, self._l2_hit_cycles, self._l2_miss_cycles)
+        mark_dirty, line_mask, hit_outcomes = l2.mark_dirty, self._line_mask, self.hit_outcomes
+        where = None
         if backup is not None:
-            self.mem_access_count -= 1
-            if self.mem_access_count <= 0:
-                resized, written_back = self._resize()
-                writebacks += written_back
-        # What the namedtuple's generated __new__ does, without its Python frame.
-        return tuple.__new__(AccessOutcome, (case, latency, eviction, writebacks, resized, l2_hit))
+            # clear_used and resize mutate the tier lists in place, so they
+            # may be held across those calls.
+            where, lines, used0, used1 = backup._where, backup.lines, backup.used0, backup.used1
+            install = backup.insert
+        # The countdown; in baseline mode it stays 1 and never runs out.
+        count = self.mem_access_count or 1
+        n00 = n01 = n10 = n11 = l2_hits = l2_misses = writebacks = resizes = switches = 0
+        invalidations = 0
+        try:
+            for kind, addr in records:
+                store = kind == KIND_STORE
+                if not store and kind != KIND_LOAD and kind in _EVENT_KINDS:
+                    if kind == KIND_CTXSWITCH:
+                        switches += 1
+                        result = self.context_switch()
+                    else:
+                        invalidations += 1
+                        result = self.external_invalidate(addr)
+                    if events is not None:
+                        events.append(result)
+                    continue
+                # The one address check of an access: the paths below index
+                # the L1D and L2 sets directly.
+                if addr >> ADDR_BITS:  # nonzero unless 0 <= addr < 2**48
+                    check_addr(addr)
+                ways = l1_sets[(addr >> l1_offset) & l1_mask]
+                tag = addr >> l1_shift
+                dirty = ways.pop(tag, None)
+                bu_hit = False
+                if where is not None:
+                    slot = where.get(addr & line_mask)
+                    if slot is not None:
+                        bu_hit = True
+                        line = lines[slot]
+                        if store:
+                            line.dirty = True
+                        if not line.used:
+                            line.used = True
+                            del used0[bisect_left(used0, slot)]
+                            insort(used1, slot)
+                    count -= 1
+                if dirty is not None:
+                    # An L1D hit makes the line most recently used, and a
+                    # store dirties it.
+                    ways[tag] = True if store else dirty
+                    if bu_hit:
+                        n11 += 1
+                    else:
+                        n10 += 1
+                    if count > 0:
+                        if latencies is not None:
+                            latencies.append(l1_cycles)
+                        if events is not None:
+                            events.append(hit_outcomes[bu_hit])
+                        continue
+                    case = "11" if bu_hit else "10"
+                    latency, l2_hit, eviction, wbs = l1_cycles, None, None, ()
+                else:
+                    # An L1D miss. On a BC hit the line fill happens after
+                    # the response, and the BC keeps its copy, so the L1 copy
+                    # is installed clean. Otherwise the line comes from the
+                    # L2, which allocates it clean on a miss and drops its
+                    # LRU victim (memory traffic is not modeled).
+                    if bu_hit:
+                        case, latency, l2_hit = "01", l1_cycles, None
+                        n01 += 1
+                        store = False
+                    else:
+                        case = "00"
+                        n00 += 1
+                        l2_set = l2_sets[(addr >> l2_offset) & l2_mask]
+                        l2_tag = addr >> l2_shift
+                        l2_dirty = l2_set.pop(l2_tag, None)
+                        l2_hit = l2_dirty is not None
+                        if l2_hit:
+                            l2_set[l2_tag] = l2_dirty
+                            latency = l2_cycles
+                            l2_hits += 1
+                        else:
+                            if len(l2_set) == l2_ways:
+                                del l2_set[next(iter(l2_set))]
+                            l2_set[l2_tag] = False
+                            latency = miss_cycles
+                            l2_misses += 1
+                    # Install the line as MRU. A displaced dirty line is
+                    # written back, and with a BC the displaced line is then
+                    # placed there clean.
+                    wbs, eviction = (), None
+                    if len(ways) == l1_ways:
+                        victim = next(iter(ways))
+                        eviction = (victim << l1_shift) | (addr & l1_index)
+                        if ways.pop(victim):
+                            mark_dirty(eviction)
+                            wbs = (eviction,)
+                        if where is not None:
+                            displaced = install(eviction)
+                            if displaced is not None and displaced[1]:
+                                mark_dirty(displaced[0])
+                                wbs += (displaced[0],)
+                    ways[tag] = store
+                resized = None
+                if count <= 0:
+                    resized, written_back = self._resize()
+                    count = self.mem_access_count
+                    resizes += 1
+                    wbs += written_back
+                writebacks += len(wbs)
+                if latencies is not None:
+                    latencies.append(latency)
+                if events is not None:
+                    # The namedtuple's generated __new__, without its Python frame.
+                    events.append(tuple.__new__(
+                        AccessOutcome, (case, latency, eviction, wbs, resized, l2_hit)))
+        finally:
+            # Also when a record raises: the accesses before it keep their countdown.
+            if backup is not None:
+                self.mem_access_count = count
+        # Positional, in field order: twelve keywords would cost a one-access run a quarter
+        # of its time.
+        return SimStats(n00 + n01 + n10 + n11, {"00": n00, "01": n01, "10": n10, "11": n11},
+                        n10 + n11, n00 + n01, n01 + n11, l2_hits, l2_misses, writebacks, resizes,
+                        switches, invalidations, (n01 + n10 + n11) * l1_cycles
+                        + l2_hits * l2_cycles + l2_misses * miss_cycles)
 
     def _resize(self) -> tuple[tuple[int, int], tuple[int, ...]]:
         """Resize the BC once the countdown runs out: ((old, new), write-backs)."""

@@ -1,15 +1,11 @@
-"""Trace parsing, trace-driven simulation, and statistics accumulation."""
+"""Trace parsing and trace-driven simulation."""
 
 import re
-from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
-from .simulator import Simulator
-
-KIND_LOAD = "load"
-KIND_STORE = "store"
-KIND_CTXSWITCH = "ctxswitch"
-KIND_INVALIDATE = "invalidate"
+# Re-exported: the record kinds and SimStats live with Simulator.run.
+from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE  # noqa: F401
+from .simulator import SimStats, Simulator
 
 # Leading zeros, then at most 12 hex digits: every address fits 48 bits.
 _HEXADDR = re.compile(r"0x0*[0-9a-fA-F]{1,12}\Z")
@@ -60,94 +56,6 @@ def parse_trace(lines: Iterable[str]) -> list[Record]:
     return records
 
 
-@dataclass
-class SimStats:
-    """Aggregate counters for one trace run."""
-
-    accesses: int = 0
-    case_counts: dict = field(default_factory=lambda: {"00": 0, "01": 0, "10": 0, "11": 0})
-    l1d_hits: int = 0
-    l1d_misses: int = 0
-    backup_hits: int = 0
-    l2_hits: int = 0
-    l2_misses: int = 0
-    writebacks: int = 0
-    resizes: int = 0
-    ctx_switches: int = 0
-    invalidations: int = 0
-    total_latency_cycles: int = 0
-
-    @property
-    def avg_access_latency(self) -> float:
-        return self.total_latency_cycles / self.accesses if self.accesses else 0.0
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "avg_access_latency": self.avg_access_latency}
-
-    def as_text(self) -> str:
-        lines = []
-        for key, value in self.as_dict().items():
-            if key == "case_counts":
-                for case, count in sorted(value.items()):
-                    lines.append(f"case_{case}={count}")
-            elif key == "avg_access_latency":
-                lines.append(f"{key}={value:.6f}")
-            else:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
-
 def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:
-    """Apply every record in order and accumulate statistics.
-
-    A resize-free L1 hit, one of sim.hit_outcomes, is only counted (by
-    identity); every other outcome is unpacked in full.
-    """
-    access = sim.access
-    hit10, hit11 = sim.hit_outcomes
-    cases = {"00": 0, "01": 0, "10": 0, "11": 0}
-    l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
-    n10 = n11 = 0
-    for kind, addr in records:
-        if kind == KIND_CTXSWITCH:
-            sim.context_switch()
-            ctx_switches += 1
-        elif kind == KIND_INVALIDATE:
-            sim.external_invalidate(addr)
-            invalidations += 1
-        else:
-            outcome = access(addr, kind == KIND_STORE)
-            if outcome is hit10:
-                n10 += 1
-                continue
-            if outcome is hit11:
-                n11 += 1
-                continue
-            case, cycles, _, wbs, resized, l2_hit = outcome
-            cases[case] += 1
-            latency += cycles
-            if l2_hit is not None:
-                if l2_hit:
-                    l2_hits += 1
-                else:
-                    l2_misses += 1
-            writebacks += len(wbs)
-            if resized is not None:
-                resizes += 1
-    cases["10"] += n10
-    cases["11"] += n11
-    latency += (n10 + n11) * hit10.latency_cycles
-    return SimStats(
-        accesses=sum(cases.values()),
-        case_counts=cases,
-        l1d_hits=cases["10"] + cases["11"],
-        l1d_misses=cases["00"] + cases["01"],
-        backup_hits=cases["01"] + cases["11"],
-        l2_hits=l2_hits,
-        l2_misses=l2_misses,
-        writebacks=writebacks,
-        resizes=resizes,
-        ctx_switches=ctx_switches,
-        invalidations=invalidations,
-        total_latency_cycles=latency,
-    )
+    """Apply every record in order and accumulate statistics."""
+    return sim.run(records)

@@ -1,0 +1,167 @@
+"""Mutation check: every named mutation of src/ must make one of its tests fail.
+
+Usage (from the repository root):
+    python tests/mutants.py [NAME ...]
+
+Each mutant is one exact text replacement in one file under src/bcsim,
+with the tests expected to kill it. For each mutant this copies src/,
+tests/ and pyproject.toml to a temporary directory, applies the
+replacement there and runs the tests with `pytest -x`. A test failure
+kills the mutant; a clean pass means it survived. An old text that is
+missing, or found more than once, is an error, as is a pytest run that
+ends neither way (a mutant that does not import, say). The same tests
+first run once on the unmutated copy, which must pass. The exit code is 0
+only if every mutant was killed.
+
+The file name has no test_ prefix, so Tier-1 never collects it. The
+anchors are the text of Simulator.run and of the cache methods it calls:
+a change to that text must update this table, not drop a row.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+BATCH = "tests/test_reference.py::test_batch_run_matches_reference"
+TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
+STREAMS = "tests/test_golden.py::test_outcome_stream"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("swapped-used-tiers", "backup.py",
+           "for tier in (self.invalid, self.used1, self.used0):",
+           "for tier in (self.invalid, self.used0, self.used1):",
+           (BATCH, STREAMS)),
+    Mutant("invalid-tier-skipped", "backup.py",
+           "for tier in (self.invalid, self.used1, self.used0):",
+           "for tier in (self.used1, self.used0, self.invalid):",
+           (BATCH, STREAMS)),
+    Mutant("l1-lru-off-by-one", "simulator.py",
+           "victim = next(iter(ways))",
+           "victim = list(ways)[min(1, len(ways) - 1)]",
+           (BATCH, STREAMS)),
+    Mutant("l2-lru-off-by-one", "simulator.py",
+           "del l2_set[next(iter(l2_set))]",
+           "del l2_set[list(l2_set)[min(1, len(l2_set) - 1)]]",
+           (BATCH, STREAMS)),
+    Mutant("cache-insert-lru-off-by-one", "core.py",
+           "victim = next(iter(ways))",
+           "victim = list(ways)[min(1, len(ways) - 1)]",
+           ("tests/test_core.py",)),
+    Mutant("skipped-bc-install", "simulator.py",
+           "displaced = install(eviction)",
+           "displaced = None",
+           (BATCH, STREAMS)),
+    Mutant("resident-insert-draws-victim", "backup.py",
+           "        if addr in where:\n            return None\n",
+           "",
+           (BATCH, STREAMS)),
+    Mutant("bc-store-probe-not-dirty", "simulator.py",
+           "if store:\n                            line.dirty = True",
+           "if store:\n                            pass",
+           (BATCH, STREAMS)),
+    Mutant("l1-store-probe-not-dirty", "simulator.py",
+           "ways[tag] = True if store else dirty",
+           "ways[tag] = dirty",
+           (BATCH, STREAMS)),
+    Mutant("mark-dirty-promotes", "core.py",
+           "        ways[tag] = True\n        return True",
+           "        del ways[tag]\n        ways[tag] = True\n        return True",
+           (BATCH, STREAMS)),
+    Mutant("fast-path-takes-every-hit", "simulator.py",
+           "                    if count > 0:\n",
+           "                    if True:\n",
+           (BATCH, TRACE, STREAMS)),
+    Mutant("dropped-hit-latency", "simulator.py",
+           "(n01 + n10 + n11) * l1_cycles",
+           "(n01 + n11) * l1_cycles",
+           (TRACE, "tests/test_golden.py::test_golden")),
+    Mutant("dropped-probe-latency", "simulator.py",
+           "latencies.append(l1_cycles)",
+           "latencies.append(0)",
+           (BATCH, "tests/test_attacks.py")),
+    Mutant("resize-grows-one-short", "backup.py",
+           "        if change > 0:\n",
+           "        if change > 0:\n            change -= 1\n",
+           (BATCH, "tests/test_backup.py")),
+    Mutant("context-switch-leaves-one-used-bit", "backup.py",
+           "        for slot in self.used1:\n"
+           "            self.lines[slot].used = False\n"
+           "        count = len(self.used1)\n"
+           "        self.used0[:] = sorted(self.used0 + self.used1)\n"
+           "        self.used1.clear()\n",
+           "        for slot in self.used1[1:]:\n"
+           "            self.lines[slot].used = False\n"
+           "        count = len(self.used1)\n"
+           "        self.used0[:] = sorted(self.used0 + self.used1[1:])\n"
+           "        del self.used1[1:]\n",
+           (BATCH, STREAMS)),
+]
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error: ...' for one mutant; with an empty
+    old and new text, the unmutated copy's tests run."""
+    with tempfile.TemporaryDirectory(prefix="bcsim-mutant-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(REPO / "src", work / "src", ignore=ignore)
+        shutil.copytree(REPO / "tests", work / "tests", ignore=ignore)
+        shutil.copy(REPO / "pyproject.toml", work)
+        path = work / "src" / "bcsim" / mutant.file
+        text = path.read_text()
+        found = text.count(mutant.old) if mutant.old else 1
+        if found != 1:
+            return f"error: old text found {found} times in src/bcsim/{mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--rootdir", str(work), *mutant.tests],
+            cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
+            capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exited {proc.returncode}: {' '.join(tail)}"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    selected = [m for m in MUTANTS if not names or m.name in names]
+    tests = tuple(dict.fromkeys(test for m in selected for test in m.tests))
+    control = run_mutant(Mutant("unmutated", "simulator.py", "", "", tests))
+    if control != "survived":
+        print(f"the unmutated tests do not pass: {control}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in selected:
+        start = time.perf_counter()
+        verdict = run_mutant(mutant)
+        failed += verdict != "killed"
+        print(f"{mutant.name:36s} {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print("every mutant killed" if not failed else f"{failed} mutant(s) not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,8 +11,9 @@ the initial backup size, one randrange per victim, one randint per resize.
 bit_slice splits an address by text slicing of its binary digits, for the
 address tests of test_core.py and test_attacks.py; resident reads an L1D or
 L2 line's residency from the cache's state_tuple() with it. run_trace_unpacked
-is bcsim.trace.run_trace without its shared-hit fast path: it unpacks every
-outcome, so test_trace.py can check that the fast path counts the same.
+applies records to a RefSimulator op by op and counts SimStats from every
+outcome, so test_trace.py and test_reference.py can hold Simulator.run's
+stats against it; assert_same_state compares the two models' final states.
 """
 
 import random
@@ -260,8 +261,21 @@ class RefSimulator:
         return in_l1 or in_bu or in_l2
 
 
+def assert_same_state(sim, ref):
+    """A Simulator and a RefSimulator hold the same L1D, L2 and BC state,
+    countdown and RNG state."""
+    assert sim.l1d.state_tuple() == ref.l1d.state_tuple()
+    assert sim.l2.state_tuple() == ref.l2.state_tuple()
+    assert (sim.backup is None) == (ref.backup is None)
+    if ref.backup is not None:
+        assert sim.backup.state_tuple() == ref.backup.state_tuple()
+        assert sim.mem_access_count == ref.countdown
+    assert sim.rng.getstate() == ref.rng.getstate()
+
+
 def run_trace_unpacked(sim, records):
-    """Apply every record to sim in order, unpacking every access outcome."""
+    """Apply every record to sim (a RefSimulator) in order, unpacking every
+    access outcome; returns the SimStats bcsim.trace.run_trace would."""
     cases = {"00": 0, "01": 0, "10": 0, "11": 0}
     l2_hits = l2_misses = writebacks = resizes = ctx_switches = invalidations = latency = 0
     for kind, addr in records:

@@ -22,7 +22,15 @@ from bcsim.attacks import (
 )
 from bcsim.cli import main
 from bcsim.core import SetAssociativeCache, compose
-from bcsim.simulator import SimConfig, Simulator, backup_config, baseline_config
+from bcsim.simulator import (
+    KIND_CTXSWITCH,
+    KIND_LOAD,
+    KIND_STORE,
+    SimConfig,
+    Simulator,
+    backup_config,
+    baseline_config,
+)
 
 
 class criterion:
@@ -123,13 +131,20 @@ def test_criterion_7_hit_latency_indistinguishable():
         rng = random.Random(31)
         footprint = [i * 64 for i in range(2048)]
         seen = {"00": 0, "01": 0, "10": 0, "11": 0}
-        for i in range(1_000_000):
-            out = sim.access(rng.choice(footprint), store=rng.random() < 0.2)
-            seen[out.case] += 1
-            if out.case != "00":
-                assert out.latency_cycles == cfg.l1d.hit_cycles
-            if i % 5000 == 4999:
-                sim.context_switch()
+        # One batch per 5,000 accesses, each ended by its context switch, so
+        # that only one period's records and events are held at a time.
+        for _ in range(200):
+            records = []
+            for _ in range(5000):
+                addr = rng.choice(footprint)
+                records.append((KIND_STORE if rng.random() < 0.2 else KIND_LOAD, addr))
+            records.append((KIND_CTXSWITCH, None))
+            events = []
+            sim.run(records, events=events)
+            for out in events[:-1]:
+                seen[out.case] += 1
+                if out.case != "00":
+                    assert out.latency_cycles == cfg.l1d.hit_cycles
         assert seen["01"] > 0 and seen["10"] > 0 and seen["11"] > 0
 
 

@@ -1,13 +1,18 @@
-"""Python function calls per simulated access stay within a budget.
+"""Python function calls and bytecodes per simulated access stay within a budget.
 
 Host timing on a small, shared machine cannot resolve a few percent, but
-the number of Python-level calls the simulator makes per access is exact
-and deterministic. Each test counts the "call" events that sys.setprofile
-sees while a fixed, seeded workload runs, and divides by the number of
-Simulator.access calls among them. A change that puts a helper call back
-on the per-access path moves these counts by a whole call or more.
+the number of Python-level calls and of bytecodes the simulator executes
+per access is exact and deterministic. Each test runs a fixed, seeded
+workload under sys.settrace, counts its "call" events and (with
+f_trace_opcodes) its "opcode" events, and divides each by the number of
+simulated accesses the workload's result reports. A change that puts a
+helper call back on the per-access path moves the call count by a whole
+call or more; the opcode count tracks the work done in Python frames, which
+the call count stops seeing once the access path is one loop. Neither sees
+work inside C calls, so report them next to time, not instead of it.
 """
 
+import functools
 import random
 import sys
 
@@ -45,64 +50,92 @@ def _records(n=20_000, seed=3):
     return records
 
 
-def count_calls(run) -> tuple[int, int]:
-    """Run run() under a profiler; return (Python calls, Simulator.access calls)."""
-    access_code = Simulator.access.__code__
+def count_events(run):
+    """Run run() under a tracer; return (Python calls, opcodes executed, run()'s result)."""
     counts = [0, 0]
 
-    def profile(frame, event, arg):
-        if event == "call":
+    def trace(frame, event, arg):
+        if event == "opcode":
+            counts[1] += 1
+        elif event == "call":
             counts[0] += 1
-            if frame.f_code is access_code:
-                counts[1] += 1
+            frame.f_trace_opcodes = True
+        return trace
 
-    sys.setprofile(profile)
+    sys.settrace(trace)
     try:
-        run()
+        result = run()
     finally:
-        sys.setprofile(None)
-    return counts[0], counts[1]
+        sys.settrace(None)
+    return counts[0], counts[1], result
 
 
-def trace_calls_per_access(make_config) -> float:
-    """Python calls per access of run_trace over _records() on make_config()."""
+# Cached: the call and the opcode test of a workload share one traced run.
+@functools.cache
+def trace_costs(make_config) -> tuple[float, float]:
+    """(calls, opcodes) per access of run_trace over _records() on make_config()."""
     sim = Simulator(make_config())
     records = _records()
-    calls, accesses = count_calls(lambda: run_trace(sim, records))
-    assert accesses == sum(kind in (KIND_LOAD, KIND_STORE) for kind, _ in records)
-    return calls / accesses
+    calls, opcodes, stats = count_events(lambda: run_trace(sim, records))
+    assert stats.accesses == sum(kind in (KIND_LOAD, KIND_STORE) for kind, _ in records)
+    return calls / stats.accesses, opcodes / stats.accesses
 
 
-def aes_calls_per_access() -> float:
-    """The second sample's calls per access of run_aes_attack, so the setup
-    that a 1- and a 2-sample run share (eviction set, simulator) drops out."""
+@functools.cache
+def aes_costs() -> tuple[float, float]:
+    """The second sample's (calls, opcodes) per access of run_aes_attack, so
+    the setup that a 1- and a 2-sample run share (eviction set, simulator)
+    drops out."""
+    config = backup_config()
+
     def run(samples):
-        return count_calls(lambda: run_aes_attack(backup_config(), samples, bytes(range(16)),
-                                                  seed=1))
-    (calls1, accesses1), (calls2, accesses2) = run(1), run(2)
-    # Prime and probe 64 sets of 4 ways, plus 16 victim loads.
-    assert accesses2 - accesses1 == 2 * 64 * 4 + 16
-    return (calls2 - calls1) / (accesses2 - accesses1)
+        calls, opcodes, result = count_events(
+            lambda: run_aes_attack(config, samples, bytes(range(16)), seed=1))
+        # Per sample: prime and probe every way of the 64 T-table sets, plus 16 victim loads.
+        return calls, opcodes, len(result.latencies) * (2 * 64 * config.l1d.ways + 16)
+
+    (calls1, opcodes1, accesses1), (calls2, opcodes2, accesses2) = run(1), run(2)
+    accesses = accesses2 - accesses1
+    return (calls2 - calls1) / accesses, (opcodes2 - opcodes1) / accesses
 
 
 # Each ceiling sits a small margin above the figure measured on Python
-# 3.11.7 (3.35, 1.18 and 2.35 per access); comprehension frames, which
-# Python 3.12 inlines, only lower them.
-@pytest.mark.parametrize("make_config, ceiling", [
-    (backup_config, 3.5),
-    (baseline_config, 1.25),
-], ids=["backup", "baseline"])
-def test_trace_calls_per_access(make_config, ceiling):
-    assert trace_calls_per_access(make_config) <= ceiling
+# 3.11.7 (calls 1.344, 0.178 and 0.345; opcodes 186.2, 92.5 and 121.1 per
+# access). Comprehension frames, which Python 3.12 inlines, only lower the
+# call counts. Bytecode differs between CPython minor versions, so the
+# opcode ceilings hold on 3.11, the version CI runs, only.
+OPCODES_3_11 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                  reason="opcode ceilings are measured on CPython 3.11")
+TRACE_CEILINGS = [
+    (backup_config, 1.4, 192),
+    (baseline_config, 0.2, 96),
+]
+
+
+@pytest.mark.parametrize("make_config, calls, opcodes", TRACE_CEILINGS, ids=["backup", "baseline"])
+def test_trace_calls_per_access(make_config, calls, opcodes):
+    assert trace_costs(make_config)[0] <= calls
+
+
+@OPCODES_3_11
+@pytest.mark.parametrize("make_config, calls, opcodes", TRACE_CEILINGS, ids=["backup", "baseline"])
+def test_trace_opcodes_per_access(make_config, calls, opcodes):
+    assert trace_costs(make_config)[1] <= opcodes
 
 
 def test_aes_attack_calls_per_access():
-    assert aes_calls_per_access() <= 2.45
+    assert aes_costs()[0] <= 0.37
+
+
+@OPCODES_3_11
+def test_aes_attack_opcodes_per_access():
+    assert aes_costs()[1] <= 126
 
 
 if __name__ == "__main__":
-    # Prints the three figures the tests bound, e.g. for a CI log:
+    # Prints the six figures the tests bound, e.g. for a CI log:
     #   PYTHONPATH=src python tests/test_call_budget.py
-    print(f"trace-bc       {trace_calls_per_access(backup_config):.4f} calls per access")
-    print(f"trace-baseline {trace_calls_per_access(baseline_config):.4f} calls per access")
-    print(f"attack-aes     {aes_calls_per_access():.4f} calls per access")
+    for name, (calls, opcodes) in (("trace-bc", trace_costs(backup_config)),
+                                   ("trace-baseline", trace_costs(baseline_config)),
+                                   ("attack-aes", aes_costs())):
+        print(f"{name:14s} {calls:.4f} calls, {opcodes:.2f} opcodes per access")

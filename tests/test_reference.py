@@ -1,13 +1,23 @@
-"""Differential test: the simulator against the reference model in reference.py,
-op by op, over tiny configs where conflicts, resizes and BC evictions are common."""
+"""Differential tests: the simulator against the reference model in reference.py,
+op by op and as one batch, over tiny configs where conflicts, resizes and BC
+evictions are common."""
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from reference import RefSimulator
+from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
 from bcsim.core import CacheGeometry
-from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, SimConfig, Simulator
+from bcsim.simulator import (
+    KIND_CTXSWITCH,
+    KIND_INVALIDATE,
+    KIND_LOAD,
+    KIND_STORE,
+    MODE_BACKUP,
+    MODE_BASELINE,
+    SimConfig,
+    Simulator,
+)
 
 LINE = 64
 POOL_LINES = 8
@@ -54,6 +64,28 @@ def test_simulator_matches_reference(config, ops):
             assert sim.backup.state_tuple() == ref.backup.state_tuple(), step
             assert sim.mem_access_count == ref.countdown, step
     assert sim.rng.getstate() == ref.rng.getstate()
+
+
+OP_KINDS = {"R": KIND_LOAD, "W": KIND_STORE, "CS": KIND_CTXSWITCH, "INV": KIND_INVALIDATE}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=OPS)
+def test_batch_run_matches_reference(config, ops):
+    """The whole op list as one Simulator.run, with both sinks: its events,
+    latencies, stats and final state equal the reference model's, applied
+    op by op."""
+    records = [(OP_KINDS[op], None if op == "CS" else addr) for op, addr in ops]
+    sim, ref = Simulator(config), RefSimulator(config)
+    latencies, events = [], []
+    stats = sim.run(records, latencies, events)
+    expected = [apply(ref, op, addr) for op, addr in ops]
+    assert len(events) == len(expected)
+    for step, ((op, addr), event, want) in enumerate(zip(ops, events, expected)):
+        assert (event if op in ("CS", "INV") else tuple(event)) == want, (step, op, addr)
+    assert latencies == [want[1] for (op, _), want in zip(ops, expected) if op in ("R", "W")]
+    assert stats.as_dict() == run_trace_unpacked(RefSimulator(config), records).as_dict()
+    assert_same_state(sim, ref)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

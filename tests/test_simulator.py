@@ -264,7 +264,7 @@ def test_resizing_l1_hit_carries_its_resize(case, ops):
         if resizing.case == case and resizing.writebacks:
             seen_writeback = True
             assert resizing.writebacks == (lines["A"],)
-        # run_trace counts the shared hits by identity and unpacks the rest.
+        # run_trace's one batch counts the same cases.
         stats = run_trace(Simulator(cfg), records)
         assert stats.case_counts == {c: sum(o.case == c for o in outcomes)
                                      for c in ("00", "01", "10", "11")}

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import run_trace_unpacked
+from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
 from bcsim.core import CacheGeometry
 from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, SimConfig, Simulator, baseline_config
@@ -230,13 +230,13 @@ def _decode_records(raw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), raw=st.binary(max_size=300))
 def test_run_trace_counts_what_the_full_unpack_counts(mode, threshold, seed, raw):
-    """run_trace counts shared hit outcomes by identity; the stats and the
-    final state equal those of a loop that unpacks every outcome. A 4-line
-    L1D and a 1-4 line BC over ten lines make hits, BC hits and misses all
-    common, and the fixed thresholds put resizes on L1 hits."""
+    """run_trace's stats and final state equal those of the reference model
+    applied record by record, with every outcome unpacked. A 4-line L1D and
+    a 1-4 line BC over ten lines make hits, BC hits and misses all common,
+    and the fixed thresholds put resizes on L1 hits."""
     config = SimConfig(mode=mode, l1d=CacheGeometry(64, 2, 2, 3), l2=CacheGeometry(64, 2, 4, 20),
                        backup_min=1, backup_max=4, fixed_threshold=threshold, seed=seed)
     records = _decode_records(raw)
-    fast, full = Simulator(config), Simulator(config)
-    assert run_trace(fast, records).as_dict() == run_trace_unpacked(full, records).as_dict()
-    assert fast.state_digest() == full.state_digest()
+    sim, ref = Simulator(config), RefSimulator(config)
+    assert run_trace(sim, records).as_dict() == run_trace_unpacked(ref, records).as_dict()
+    assert_same_state(sim, ref)
