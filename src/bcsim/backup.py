@@ -100,9 +100,10 @@ class BackupCache:
         raise CacheError("no enabled line to select a victim from")
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
-        """Take in a line the L1D evicted: install it clean, with used=0,
-        unless it is already resident. Returns the displaced (address, dirty)
-        pair, if any."""
+        """Take in a line the L1D evicted: install it clean, with used=0, unless
+        it is already resident; returns the displaced (address, dirty) pair, if
+        any. Simulator.run inlines it; kept for perfbench/tracer.py, which
+        patches it (ROADMAP items 1/4)."""
         where = self._where
         if addr in where:
             return None

@@ -190,13 +190,13 @@ class Simulator:
 
         The one implementation of an access. In backup mode every access
         probes the BC exactly once, in parallel with the L1D: a hit marks
-        the line re-used, and a store hit also dirties it. The L2 fetch and
-        the L1 install are inline too; the BC install, write-backs, resizes,
-        context switches and invalidations are method calls. latencies gets
-        each access's latency; events gets each record's result, as access,
-        context_switch or external_invalidate returns it. Outcomes are
-        immutable and may be shared: every L1 hit that does not resize
-        records hit_outcomes[bu_hit] itself.
+        the line re-used, and a store hit also dirties it. The L2 fetch, the
+        L1 install, the BC install with its victim draw and the L2 write-backs
+        are inline too; resizes, context switches and invalidations are method
+        calls. latencies gets each access's latency; events gets each record's
+        result, as access, context_switch or external_invalidate returns it.
+        Outcomes are immutable and may be shared: every L1 hit that does not
+        resize records hit_outcomes[bu_hit] itself.
         """
         l1d, l2, backup = self.l1d, self.l2, self.backup
         l1_sets, l1_offset, l1_mask = l1d.sets, l1d.offset_bits, l1d.index_mask
@@ -205,13 +205,13 @@ class Simulator:
         l2_shift, l2_ways = l2.tag_shift, l2.num_ways
         l1_cycles, l2_cycles, miss_cycles = (
             self._l1_hit_cycles, self._l2_hit_cycles, self._l2_miss_cycles)
-        mark_dirty, line_mask, hit_outcomes = l2.mark_dirty, self._line_mask, self.hit_outcomes
+        line_mask, hit_outcomes = self._line_mask, self.hit_outcomes
         where = None
         if backup is not None:
-            # clear_used and resize mutate the tier lists in place, so they
-            # may be held across those calls.
-            where, lines, used0, used1 = backup._where, backup.lines, backup.used0, backup.used1
-            install = backup.insert
+            # clear_used, invalidate and resize mutate the tier lists in place,
+            # so they may be held across those calls.
+            where, lines, invalid = backup._where, backup.lines, backup.invalid
+            used0, used1, getrandbits = backup.used0, backup.used1, backup.rng.getrandbits
         # The countdown; in baseline mode it stays 1 and never runs out.
         count = self.mem_access_count or 1
         n00 = n01 = n10 = n11 = l2_hits = l2_misses = writebacks = resizes = switches = 0
@@ -293,20 +293,48 @@ class Simulator:
                             latency = miss_cycles
                             l2_misses += 1
                     # Install the line as MRU. A displaced dirty line is
-                    # written back, and with a BC the displaced line is then
-                    # placed there clean.
+                    # written back: the L2 sets its dirty bit if it holds the
+                    # line, and leaves its recency alone (mark_dirty). With a
+                    # BC the displaced line is then placed there clean, with
+                    # used=0, unless it is already resident.
                     wbs, eviction = (), None
                     if len(ways) == l1_ways:
                         victim = next(iter(ways))
                         eviction = (victim << l1_shift) | (addr & l1_index)
                         if ways.pop(victim):
-                            mark_dirty(eviction)
+                            wb_set = l2_sets[(eviction >> l2_offset) & l2_mask]
+                            if (wb_tag := eviction >> l2_shift) in wb_set:
+                                wb_set[wb_tag] = True
                             wbs = (eviction,)
-                        if where is not None:
-                            displaced = install(eviction)
-                            if displaced is not None and displaced[1]:
-                                mark_dirty(displaced[0])
-                                wbs += (displaced[0],)
+                        if where is not None and eviction not in where:
+                            # select_victim's draw from the first non-empty tier of
+                            # invalid, used1 and used0: getrandbits(k) below n.
+                            tier = invalid or used1 or used0
+                            n = len(tier)
+                            if not n:
+                                raise CacheError("no enabled line to select a victim from")
+                            k = n.bit_length()
+                            r = getrandbits(k)
+                            while r >= n:
+                                r = getrandbits(k)
+                            slot = tier[r]
+                            line = lines[slot]
+                            if tier is not used0:  # the slot moves to used0
+                                del tier[r]
+                                insort(used0, slot)
+                            if line.valid:
+                                displaced = line.addr
+                                del where[displaced]
+                                if line.dirty:
+                                    wb_set = l2_sets[(displaced >> l2_offset) & l2_mask]
+                                    if (wb_tag := displaced >> l2_shift) in wb_set:
+                                        wb_set[wb_tag] = True
+                                    wbs += (displaced,)
+                                line.dirty = line.used = False
+                            else:  # an invalid line's dirty and used bits are clear
+                                line.valid = True
+                            line.addr = eviction
+                            where[eviction] = slot
                     ways[tag] = store
                 resized = None
                 if count <= 0:

@@ -14,8 +14,9 @@ first run once on the unmutated copy, which must pass. The exit code is 0
 only if every mutant was killed.
 
 The file name has no test_ prefix, so Tier-1 never collects it. The
-anchors are the text of Simulator.run and of the cache methods it calls:
-a change to that text must update this table, not drop a row.
+anchors are the text of Simulator.run and of the cache methods it and its
+cold paths (resize, context switch) call: a change to that text must
+update this table, not drop a row.
 """
 
 import os
@@ -63,13 +64,33 @@ MUTANTS = [
            "victim = next(iter(ways))",
            "victim = list(ways)[min(1, len(ways) - 1)]",
            ("tests/test_core.py",)),
-    Mutant("skipped-bc-install", "simulator.py",
-           "displaced = install(eviction)",
-           "displaced = None",
+    Mutant("kernel-swapped-used-tiers", "simulator.py",
+           "tier = invalid or used1 or used0",
+           "tier = invalid or used0 or used1",
            (BATCH, STREAMS)),
-    Mutant("resident-insert-draws-victim", "backup.py",
-           "        if addr in where:\n            return None\n",
-           "",
+    Mutant("kernel-empty-tier-guard-dropped", "simulator.py",
+           "if not n:\n",
+           "if False:\n",
+           ("tests/test_simulator.py",)),
+    Mutant("skipped-bc-install", "simulator.py",
+           "if where is not None and eviction not in where:",
+           "if False:",
+           (BATCH, STREAMS)),
+    Mutant("resident-insert-draws-victim", "simulator.py",
+           "if where is not None and eviction not in where:",
+           "if where is not None:",
+           (BATCH, STREAMS)),
+    Mutant("l1-victim-writeback-not-dirty", "simulator.py",
+           "if (wb_tag := eviction >> l2_shift) in wb_set:\n"
+           "                                wb_set[wb_tag] = True",
+           "if (wb_tag := eviction >> l2_shift) in wb_set:\n"
+           "                                pass",
+           (BATCH, STREAMS)),
+    Mutant("bc-victim-writeback-not-dirty", "simulator.py",
+           "if (wb_tag := displaced >> l2_shift) in wb_set:\n"
+           "                                        wb_set[wb_tag] = True",
+           "if (wb_tag := displaced >> l2_shift) in wb_set:\n"
+           "                                        pass",
            (BATCH, STREAMS)),
     Mutant("bc-store-probe-not-dirty", "simulator.py",
            "if store:\n                            line.dirty = True",

@@ -24,6 +24,7 @@ from bcsim.cli import main
 from bcsim.core import SetAssociativeCache, compose
 from bcsim.simulator import (
     KIND_CTXSWITCH,
+    KIND_INVALIDATE,
     KIND_LOAD,
     KIND_STORE,
     SimConfig,
@@ -104,15 +105,14 @@ def _overflow_probe_misses(n_victim, seed):
     cfg = SimConfig(backup_min=192, backup_max=192, seed=seed)
     sim = Simulator(cfg)
     geo = cfg.l1d
-    attacker = [compose(100 + w, s, geo)
-                for s in range(geo.num_sets) for w in range(geo.ways)]
-    for a in attacker:
-        sim.access(a)
-    sim.context_switch()
-    for i in range(n_victim):
-        sim.access(compose((1 << 24) + i, i % geo.num_sets, geo))
-    sim.context_switch()
-    return sum(1 for a in attacker if sim.access(a).case == "00")
+    prime = [(KIND_LOAD, compose(100 + w, s, geo))
+             for s in range(geo.num_sets) for w in range(geo.ways)]
+    victim = [(KIND_LOAD, compose((1 << 24) + i, i % geo.num_sets, geo))
+              for i in range(n_victim)]
+    sim.run([*prime, (KIND_CTXSWITCH, None), *victim, (KIND_CTXSWITCH, None)])
+    probes = []
+    sim.run(prime, events=probes)
+    return sum(1 for out in probes if out.case == "00")
 
 
 def test_criterion_6_overflow_bound_is_exact():
@@ -155,50 +155,53 @@ def test_criterion_8_randomized_state_machine():
         twin_l2 = SetAssociativeCache(cfg.l2)
         rng = random.Random(41)
         footprint = [i * 64 for i in range(3000)]
-        last_resize_at = 0
+        accesses = last_resize_at = 0
         size_in_effect = sim.backup.current_size
         tiers_seen = set()
         ops = []
-        for i in range(120_000):
-            if i % 20 == 0:
-                state = sim.backup.state_tuple()
-                used = sum(1 for valid, _, u, _, _ in state if valid and u)
-                invalid = sum(1 for valid, _, _, enabled, _ in state if enabled and not valid)
-                tiers_seen.add((invalid > 0, used > 0))
-                for valid, _, _, enabled, _ in state:
-                    if not enabled:
-                        assert not valid
-                assert sum(enabled for _, _, _, enabled, _ in state) == sim.backup.current_size
-            r = rng.random()
-            if r < 0.005:
-                ops.append(("cs",))
-                sim.context_switch()
-                continue
-            if r < 0.01:
-                addr = rng.choice(footprint)
-                ops.append(("inv", addr))
-                sim.external_invalidate(addr)
-                twin_l2.invalidate(addr)
-                continue
-            addr = rng.choice(footprint)
-            store = r > 0.8
-            ops.append(("acc", addr, store))
-            out = sim.access(addr, store=store)
-            assert len(set(out.writebacks)) == len(out.writebacks)
-            for wb in out.writebacks:
-                twin_l2.mark_dirty(wb)
-            if out.case == "00":
-                if out.l2_hit:
-                    twin_l2.lookup(addr)
+        # One batch per 20 operations, each preceded by the state checks.
+        for _ in range(120_000 // 20):
+            state = sim.backup.state_tuple()
+            used = sum(1 for valid, _, u, _, _ in state if valid and u)
+            invalid = sum(1 for valid, _, _, enabled, _ in state if enabled and not valid)
+            tiers_seen.add((invalid > 0, used > 0))
+            for valid, _, _, enabled, _ in state:
+                if not enabled:
+                    assert not valid
+            assert sum(enabled for _, _, _, enabled, _ in state) == sim.backup.current_size
+            batch = []
+            for _ in range(20):
+                r = rng.random()
+                if r < 0.005:
+                    batch.append((KIND_CTXSWITCH, None))
+                elif r < 0.01:
+                    batch.append((KIND_INVALIDATE, rng.choice(footprint)))
                 else:
-                    twin_l2.insert(addr)
-            if out.resized is not None:
-                old, new = out.resized
-                assert cfg.backup_min <= new <= cfg.backup_max
-                accesses_so_far = sum(1 for op in ops if op[0] == "acc")
-                assert accesses_so_far - last_resize_at == size_in_effect
-                last_resize_at = accesses_so_far
-                size_in_effect = new
+                    batch.append((KIND_STORE if r > 0.8 else KIND_LOAD, rng.choice(footprint)))
+            events = []
+            sim.run(batch, events=events)
+            ops += batch
+            for (kind, addr), out in zip(batch, events, strict=True):
+                if kind == KIND_CTXSWITCH:
+                    continue
+                if kind == KIND_INVALIDATE:
+                    twin_l2.invalidate(addr)
+                    continue
+                accesses += 1
+                assert len(set(out.writebacks)) == len(out.writebacks)
+                for wb in out.writebacks:
+                    twin_l2.mark_dirty(wb)
+                if out.case == "00":
+                    if out.l2_hit:
+                        twin_l2.lookup(addr)
+                    else:
+                        twin_l2.insert(addr)
+                if out.resized is not None:
+                    old, new = out.resized
+                    assert cfg.backup_min <= new <= cfg.backup_max
+                    assert accesses - last_resize_at == size_in_effect
+                    last_resize_at = accesses
+                    size_in_effect = new
         # All three replacement situations occurred: free slot available,
         # only recently-used lines, and only not-recently-used lines.
         assert (True, True) in tiers_seen or (True, False) in tiers_seen
@@ -208,13 +211,7 @@ def test_criterion_8_randomized_state_machine():
         assert sim.l2.state_tuple() == twin_l2.state_tuple()
         # Replaying the identical operation sequence reproduces the state.
         replay = Simulator(cfg)
-        for op in ops:
-            if op[0] == "cs":
-                replay.context_switch()
-            elif op[0] == "inv":
-                replay.external_invalidate(op[1])
-            else:
-                replay.access(op[1], store=op[2])
+        replay.run(ops)
         assert replay.state_digest() == sim.state_digest()
 
 

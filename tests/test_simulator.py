@@ -313,6 +313,26 @@ def test_no_duplicate_residency():
             assert dict(valid) == sim.backup._where
 
 
+def test_bc_install_with_no_enabled_lines_faults():
+    # No resize leaves a BC without an enabled line (min_size >= 1), so force
+    # one. The L1D eviction's install must fault before it draws: with no
+    # tier to draw from, getrandbits(0) would redraw forever. The generator
+    # fails any draw, so a missing guard fails here instead of hanging.
+    class NoDraws(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError(f"drew getrandbits({k}) with no enabled line")
+
+    sim = Simulator(pinned_config())
+    bc = sim.backup
+    bc.disabled[:] = range(bc.max_size)
+    bc.invalid.clear()
+    bc.rng = NoDraws()
+    records = [(KIND_LOAD, compose(tag, 0, GEO)) for tag in range(GEO.ways + 1)]
+    sim.run(records[:-1])  # fills set 0 of the L1D without an eviction
+    with pytest.raises(CacheError, match="no enabled line"):
+        sim.run(records[-1:])
+
+
 @pytest.mark.parametrize("config", [baseline_config(), SimConfig()], ids=["baseline", "backup"])
 @pytest.mark.parametrize("bad", [-64, ADDR_LIMIT])
 @pytest.mark.parametrize("call", ["access", "store", "external_invalidate"])
