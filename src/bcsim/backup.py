@@ -102,32 +102,24 @@ class BackupCache:
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
         """Take in a line the L1D evicted: install it clean, with used=0, unless
         it is already resident; returns the displaced (address, dirty) pair, if
-        any. Simulator.run inlines it; kept for perfbench/tracer.py, which
-        patches it (ROADMAP items 1/4)."""
-        where = self._where
-        if addr in where:
+        any. select_victim draws the slot and _empty moves it to used0.
+        Simulator.run inlines it; kept for perfbench/tracer.py, which patches
+        it (ROADMAP items 1/4)."""
+        if addr in self._where:
             return None
         slot = self.select_victim()
         line = self.lines[slot]
-        # The victim's slot moves to used0 unless it is already there.
-        src = self.invalid if not line.valid else self.used1 if line.used else None
-        if src is not None:
-            del src[bisect_left(src, slot)]
-            insort(self.used0, slot)
-        evicted = None
-        if line.valid:
-            evicted = (line.addr, line.dirty)
-            del where[line.addr]
+        evicted = (line.addr, line.dirty) if line.valid else None
+        self._empty(slot, self.used0)
         line.valid = True
-        line.dirty = False
-        line.used = False
         line.addr = addr
-        where[addr] = slot
+        self._where[addr] = slot
         return evicted
 
     def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
         """Clear an enabled slot's line and move the slot to dst (invalid or
-        disabled); returns the line's address if it held dirty data."""
+        disabled, or used0 when insert refills it); returns the line's address
+        if it held dirty data."""
         line = self.lines[slot]
         src = self.invalid if not line.valid else self.used1 if line.used else self.used0
         del src[bisect_left(src, slot)]

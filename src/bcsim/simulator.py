@@ -19,7 +19,6 @@ KIND_LOAD = "load"
 KIND_STORE = "store"
 KIND_CTXSWITCH = "ctxswitch"
 KIND_INVALIDATE = "invalidate"
-_EVENT_KINDS = (KIND_CTXSWITCH, KIND_INVALIDATE)
 
 
 class ConfigError(CacheError):
@@ -145,9 +144,6 @@ class Simulator:
     All randomness (initial backup size, resize draws, victim selection)
     comes from a single generator seeded from the config, so identical
     (config, trace) pairs replay identically.
-
-    hit_outcomes: the one outcome ("10", "11") each resize-free L1 hit
-    returns, indexed by the BC probe result.
     """
 
     def __init__(self, config: SimConfig):
@@ -159,12 +155,6 @@ class Simulator:
         # The countdown register: accesses left until the next resize, reloaded
         # with fixed_threshold in fixed mode and with the new size otherwise.
         self.mem_access_count: Optional[int] = None
-        self._l1_hit_cycles = config.l1d.hit_cycles
-        self._l2_hit_cycles = config.l2.hit_cycles
-        self._l2_miss_cycles = config.l2.hit_cycles + config.memory_penalty_cycles
-        self.hit_outcomes = (AccessOutcome("10", config.l1d.hit_cycles),
-                             AccessOutcome("11", config.l1d.hit_cycles))
-        self._line_mask = ~(config.l1d.line_bytes - 1)
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
             self.backup = BackupCache(
@@ -195,17 +185,18 @@ class Simulator:
         are inline too; resizes, context switches and invalidations are method
         calls. latencies gets each access's latency; events gets each record's
         result, as access, context_switch or external_invalidate returns it.
-        Outcomes are immutable and may be shared: every L1 hit that does not
-        resize records hit_outcomes[bu_hit] itself.
+        A record of any other kind raises CacheError; the records before it
+        stay applied.
         """
         l1d, l2, backup = self.l1d, self.l2, self.backup
         l1_sets, l1_offset, l1_mask = l1d.sets, l1d.offset_bits, l1d.index_mask
         l1_shift, l1_ways, l1_index = l1d.tag_shift, l1d.num_ways, l1d.index_field
         l2_sets, l2_offset, l2_mask = l2.sets, l2.offset_bits, l2.index_mask
         l2_shift, l2_ways = l2.tag_shift, l2.num_ways
-        l1_cycles, l2_cycles, miss_cycles = (
-            self._l1_hit_cycles, self._l2_hit_cycles, self._l2_miss_cycles)
-        line_mask, hit_outcomes = self._line_mask, self.hit_outcomes
+        config = self.config
+        l1_cycles, l2_cycles = config.l1d.hit_cycles, config.l2.hit_cycles
+        miss_cycles = l2_cycles + config.memory_penalty_cycles
+        line_mask = ~(config.l1d.line_bytes - 1)
         where = None
         if backup is not None:
             # clear_used, invalidate and resize mutate the tier lists in place,
@@ -219,13 +210,15 @@ class Simulator:
         try:
             for kind, addr in records:
                 store = kind == KIND_STORE
-                if not store and kind != KIND_LOAD and kind in _EVENT_KINDS:
+                if not store and kind != KIND_LOAD:
                     if kind == KIND_CTXSWITCH:
                         switches += 1
                         result = self.context_switch()
-                    else:
+                    elif kind == KIND_INVALIDATE:
                         invalidations += 1
                         result = self.external_invalidate(addr)
+                    else:
+                        raise CacheError(f"unknown record kind {kind!r}")
                     if events is not None:
                         events.append(result)
                     continue
@@ -261,7 +254,8 @@ class Simulator:
                         if latencies is not None:
                             latencies.append(l1_cycles)
                         if events is not None:
-                            events.append(hit_outcomes[bu_hit])
+                            events.append(tuple.__new__(AccessOutcome, (
+                                "11" if bu_hit else "10", l1_cycles, None, (), None, None)))
                         continue
                     case = "11" if bu_hit else "10"
                     latency, l2_hit, eviction, wbs = l1_cycles, None, None, ()
@@ -380,7 +374,7 @@ class Simulator:
 
     def external_invalidate(self, addr: int) -> bool:
         """Coherence invalidation from below: drop the line everywhere."""
-        la = addr & self._line_mask
+        la = addr & ~(self.config.l1d.line_bytes - 1)
         in_l1 = self.l1d.invalidate(addr)
         in_bu = self.backup.invalidate(la) if self.backup is not None else False
         in_l2 = self.l2.invalidate(addr)

@@ -3,9 +3,7 @@
 import re
 from typing import Iterable, Optional
 
-# Re-exported: the record kinds and SimStats live with Simulator.run.
-from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE  # noqa: F401
-from .simulator import SimStats, Simulator
+from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE, SimStats, Simulator
 
 # Leading zeros, then at most 12 hex digits: every address fits 48 bits.
 _HEXADDR = re.compile(r"0x0*[0-9a-fA-F]{1,12}\Z")

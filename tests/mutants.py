@@ -108,6 +108,14 @@ MUTANTS = [
            "                    if count > 0:\n",
            "                    if True:\n",
            (BATCH, TRACE, STREAMS)),
+    Mutant("hit-event-case-swapped", "simulator.py",
+           'AccessOutcome, (\n                                "11" if bu_hit else "10",',
+           'AccessOutcome, (\n                                "10" if bu_hit else "11",',
+           (BATCH, STREAMS)),
+    Mutant("unknown-kind-runs-as-load", "simulator.py",
+           "if not store and kind != KIND_LOAD:",
+           "if not store and kind != KIND_LOAD and kind in (KIND_CTXSWITCH, KIND_INVALIDATE):",
+           ("tests/test_simulator.py::test_run_rejects_unknown_record_kind",)),
     Mutant("dropped-hit-latency", "simulator.py",
            "(n01 + n10 + n11) * l1_cycles",
            "(n01 + n11) * l1_cycles",

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from reference import RefSimulator, resident
+from reference import RefSimulator, assert_same_state, resident
 
 from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, compose
 from bcsim.simulator import (
@@ -241,7 +241,7 @@ def test_resize_cadence_fixed():
 def test_resizing_l1_hit_carries_its_resize(case, ops):
     """The L1 hit that runs the countdown out reports the resize and the
     shrink's write-backs as the reference does; the next, resize-free hit
-    (a shared outcome) reports neither."""
+    reports neither."""
     lines = {"A": 0, "B": 64, "C": 128}
     seen_writeback = False
     for seed in range(16):
@@ -258,8 +258,6 @@ def test_resizing_l1_hit_carries_its_resize(case, ops):
             assert tuple(outcomes[-1]) == ref.access(addr, kind == KIND_STORE)
         resizing, after = outcomes[7], outcomes[8]
         assert resizing.case in ("10", "11") and resizing.resized is not None
-        assert resizing is not sim.hit_outcomes[resizing.case == "11"]
-        assert after is sim.hit_outcomes[after.case == "11"]
         assert after.resized is None and after.writebacks == ()
         if resizing.case == case and resizing.writebacks:
             seen_writeback = True
@@ -348,6 +346,18 @@ def test_out_of_range_address_rejected_before_any_change(config, bad, call):
             sim.access(bad, store=call == "store")
     assert sim.state_digest() == digest
     assert sim.rng.getstate() == rng_state
+
+
+@pytest.mark.parametrize("config", [baseline_config(), SimConfig()], ids=["baseline", "backup"])
+@pytest.mark.parametrize("kind", ["W", "R", "CS", None])
+def test_run_rejects_unknown_record_kind(config, kind):
+    """A record kind other than the four raises instead of running as a
+    load; the store before it stays applied, countdown included."""
+    sim, ref = Simulator(config), RefSimulator(config)
+    with pytest.raises(CacheError, match="unknown record kind"):
+        sim.run([(KIND_STORE, 0x40), (kind, 0x80)])
+    ref.access(0x40, True)
+    assert_same_state(sim, ref)
 
 
 def test_l2_untouched_by_backup_churn():
