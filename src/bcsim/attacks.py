@@ -3,7 +3,7 @@
 Two case studies: a single-set covert-channel style attack extracting a
 bit string, and a first-round AES T-table attack producing a per-set
 probe-latency matrix. Attacker and victim never share addresses; every
-scenario is reproducible from its seed.
+scenario is reproducible from its config's seed.
 """
 
 import itertools
@@ -24,21 +24,10 @@ _TTABLE_TAG_BASE = 1 << 28
 TARGET_SET = 5  # the one set the single-set attack primes and probes
 
 
-@dataclass(frozen=True)
-class EvictionSet:
-    """Attacker working set: per-target-set conflict lines, in target order,
-    plus backup filler."""
-
-    set_lines: dict[int, list[int]]
-    filler: list[int]
-
-    def all_lines(self) -> list[int]:
-        return [addr for lines in self.set_lines.values() for addr in lines] + self.filler
-
-
 def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.Random,
-                       filler_bytes: int = 0) -> EvictionSet:
-    """Construct conflict lines for each target set plus filler lines.
+                       filler_bytes: int = 0) -> tuple[list[list[int]], list[int]]:
+    """The attacker's working set: (set_lines, filler), where set_lines
+    holds one list of conflict lines per target set, in target order.
 
     The tag base is the first draw from rng. Filler is spread round-robin
     over sets disjoint from the targets; raises if filler is requested but
@@ -52,17 +41,14 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.R
     if _TTABLE_TAG_BASE << (geo.offset_bits + geo.index_bits) >= ADDR_LIMIT:
         raise ConfigError("line_bytes * sets leaves too few tag bits for the attack")
     tag_base = rng.randrange(1, _ATTACKER_TAG_SPACE)
-    set_lines = {
-        s: [compose(tag_base + w, s, geo) for w in range(geo.ways)]
-        for s in target_sets
-    }
+    set_lines = [[compose(tag_base + w, s, geo) for w in range(geo.ways)] for s in target_sets]
     n_filler = filler_bytes // geo.line_bytes
-    spare = [s for s in range(geo.num_sets) if s not in set_lines]
+    spare = [s for s in range(geo.num_sets) if s not in target_sets]
     if n_filler and not spare:
         raise CacheError("no non-target sets available for filler lines")
     filler = [compose(tag_base + geo.ways + i // len(spare), spare[i % len(spare)], geo)
               for i in range(n_filler)]
-    return EvictionSet(set_lines=set_lines, filler=filler)
+    return set_lines, filler
 
 
 def _prime_probe(sim: Simulator, groups: list[list[int]], prime: list[tuple],
@@ -106,7 +92,7 @@ class SingleSetAttackResult:
 
 
 def run_single_set_attack(config: SimConfig, secret_bits: list[int],
-                          filler_bytes: int = 0, seed: int = 0) -> SingleSetAttackResult:
+                          filler_bytes: int = 0) -> SingleSetAttackResult:
     """Prime+Probe on cache set TARGET_SET, one trial per secret bit.
 
     Per bit: prime the target set (and filler), context switch, victim
@@ -119,9 +105,10 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
         raise CacheError("secret_bits must be nonempty")
     sim = Simulator(config)
     geo = config.l1d
-    es = build_eviction_set(geo, [TARGET_SET], random.Random(seed), filler_bytes)
-    groups = [es.all_lines()]
-    prime = [(KIND_LOAD, addr) for group in groups for addr in group]
+    (lines,), filler = build_eviction_set(geo, [TARGET_SET], random.Random(config.seed),
+                                          filler_bytes)
+    groups = [lines + filler]
+    prime = [(KIND_LOAD, addr) for addr in groups[0]]
     latencies = []
     victim_tags = itertools.count(_VICTIM_TAG_BASE)
     for bit in secret_bits:
@@ -140,14 +127,13 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
 class AesAttackResult:
     """Per-sample, per-set probe latencies for the T-table attack.
 
-    latencies and touched are C-contiguous (n_samples, 64) memoryviews of
-    format "q" (int64) and "?" (bool); touched marks the sets the victim
-    actually accessed in that sample. Each has .shape, len(), .tolist() and
-    [sample, set] indexing, and numpy.asarray() wraps it without a copy.
+    latencies is a C-contiguous (n_samples, 64) memoryview of format "q"
+    (int64) with .shape, len(), .tolist() and [sample, set] indexing;
+    numpy.asarray() wraps it without a copy. With the key, each sample's
+    plaintext gives the sets the victim touched.
     """
 
     latencies: memoryview
-    touched: memoryview
     plaintexts: list[bytes] = field(repr=False)
 
 
@@ -155,8 +141,7 @@ N_TTABLE_SETS = 64
 _LINES_PER_TABLE = 16
 
 
-def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
-                   seed: int = 0) -> AesAttackResult:
+def run_aes_attack(config: SimConfig, n_samples: int, key: bytes) -> AesAttackResult:
     """Prime+Probe over sets 0..63, which hold a 4KB T-table region.
 
     Per sample: prime every T-table set, context switch, victim performs
@@ -167,9 +152,8 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     if len(key) != 16:
         raise CacheError("key must be 16 bytes")
     geo = config.l1d
-    rng = random.Random(seed)
-    es = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)
-    groups = list(es.set_lines.values())
+    rng = random.Random(config.seed)
+    groups, _ = build_eviction_set(geo, list(range(N_TTABLE_SETS)), rng)
     prime = [(KIND_LOAD, addr) for group in groups for addr in group]
     sim = Simulator(config)
     # T-table line i sits in set i; a sample's victim list indexes this.
@@ -177,18 +161,13 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes,
     # memoryview.cast refuses a zero dimension, so zero samples slice one row away.
     shape = (max(n_samples, 1), N_TTABLE_SETS)
     latencies = array("q", [0]) * (shape[0] * N_TTABLE_SETS)
-    touched = bytearray(shape[0] * N_TTABLE_SETS)
     plaintexts = []
     for sample in range(n_samples):
         plaintext = rng.randbytes(16)
         plaintexts.append(plaintext)
-        indices = [(i % 4) * _LINES_PER_TABLE + ((plaintext[i] ^ key[i]) >> 4)
-                   for i in range(16)]
+        victim = [table_lines[(i % 4) * _LINES_PER_TABLE + ((plaintext[i] ^ key[i]) >> 4)]
+                  for i in range(16)]
         row = sample * N_TTABLE_SETS
-        for i in indices:
-            touched[row + i] = True
-        latencies[row:row + N_TTABLE_SETS] = array(
-            "q", _prime_probe(sim, groups, prime, [table_lines[i] for i in indices]))
+        latencies[row:row + N_TTABLE_SETS] = array("q", _prime_probe(sim, groups, prime, victim))
     return AesAttackResult(latencies=memoryview(latencies).cast("B").cast("q", shape)[:n_samples],
-                           touched=memoryview(touched).cast("?", shape)[:n_samples],
                            plaintexts=plaintexts)

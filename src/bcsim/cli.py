@@ -222,8 +222,7 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
     out = Path(out_path)
     if scenario == "single_set":
         secret = [0] * (bits // 2) + [1] * (bits - bits // 2)
-        result = run_single_set_attack(config, secret, filler_bytes=filler_kb * 1024,
-                                       seed=config.seed)
+        result = run_single_set_attack(config, secret, filler_bytes=filler_kb * 1024)
         text = _csv_text([["trial", "secret_bit", "probe_latency_cycles"],
                           *([i, bit, lat] for i, (bit, lat)
                             in enumerate(zip(secret, result.probe_latencies)))])
@@ -235,7 +234,7 @@ def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, 
             raise click.UsageError(f"bad --key: {exc}") from exc
         if len(key) != 16:
             raise click.UsageError("--key must be 16 bytes of hex")
-        result = run_aes_attack(config, samples, key, seed=config.seed)
+        result = run_aes_attack(config, samples, key)
         rows = result.latencies.tolist()
         text = _csv_text([[f"set_{j}" for j in range(result.latencies.shape[1])], *rows])
         # Each column sum is an exact integer (below 2**53): a mean is one rounded division.

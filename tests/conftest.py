@@ -29,9 +29,18 @@ CRITERIA = {
 }
 
 
-def aes_set_mean_gap(result) -> float:
+def aes_touched_sets(plaintext: bytes, key: bytes) -> set[int]:
+    """The T-table sets that the 16 first-round lookups read: byte i reads
+    table i mod 4 at line (p_i xor k_i) >> 4, and table line j sits in set j."""
+    return {(i % 4) * 16 + ((plaintext[i] ^ key[i]) >> 4) for i in range(16)}
+
+
+def aes_set_mean_gap(result, key: bytes) -> float:
     """Mean probe latency over touched (sample, set) cells minus untouched ones."""
-    latencies, touched = np.asarray(result.latencies), np.asarray(result.touched)
+    latencies = np.asarray(result.latencies)
+    touched = np.zeros(latencies.shape, dtype=bool)
+    for sample, plaintext in enumerate(result.plaintexts):
+        touched[sample, list(aes_touched_sets(plaintext, key))] = True
     touched_mean = float(latencies[touched].mean())
     untouched_mean = float(latencies[~touched].mean())
     return touched_mean - untouched_mean

@@ -15,8 +15,9 @@ only if every mutant was killed.
 
 The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
-cold paths (resize, context switch) call: a change to that text must
-update this table, not drop a row.
+cold paths (resize, context switch) call, and of the attacks' prime,
+victim and probe steps: a change to that text must update this table, not
+drop a row.
 """
 
 import os
@@ -33,6 +34,8 @@ REPO = Path(__file__).resolve().parent.parent
 BATCH = "tests/test_reference.py::test_batch_run_matches_reference"
 TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
 STREAMS = "tests/test_golden.py::test_outcome_stream"
+GOLDEN = "tests/test_golden.py::test_golden"
+TOUCH_MODEL = "tests/test_attacks.py::test_aes_first_round_touch_model"
 
 
 class Mutant(NamedTuple):
@@ -119,7 +122,7 @@ MUTANTS = [
     Mutant("dropped-hit-latency", "simulator.py",
            "(n01 + n10 + n11) * l1_cycles",
            "(n01 + n11) * l1_cycles",
-           (TRACE, "tests/test_golden.py::test_golden")),
+           (TRACE, GOLDEN)),
     Mutant("dropped-probe-latency", "simulator.py",
            "latencies.append(l1_cycles)",
            "latencies.append(0)",
@@ -140,6 +143,23 @@ MUTANTS = [
            "        self.used0[:] = sorted(self.used0 + self.used1[1:])\n"
            "        del self.used1[1:]\n",
            (BATCH, STREAMS)),
+    Mutant("probe-window-off-by-one", "attacks.py",
+           "end = len(latencies) - len(prime)",
+           "end = len(latencies) - len(prime) - 1",
+           (TOUCH_MODEL, GOLDEN)),
+    Mutant("aes-line-ignores-key", "attacks.py",
+           "((plaintext[i] ^ key[i]) >> 4)",
+           "(plaintext[i] >> 4)",
+           (TOUCH_MODEL,)),
+    Mutant("single-set-prime-drops-filler", "attacks.py",
+           "groups = [lines + filler]",
+           "groups = [lines]",
+           ("tests/test_attacks.py::test_single_set_probe_sums_lines_and_filler", GOLDEN)),
+    Mutant("victim-loads-dropped", "attacks.py",
+           "[(KIND_LOAD, addr) for addr in victim]",
+           "[]",
+           ("tests/test_attacks.py::test_baseline_single_set_fully_distinguishable",
+            TOUCH_MODEL, GOLDEN)),
 ]
 
 

@@ -70,7 +70,7 @@ def test_criterion_2_monte_carlo_agrees_with_closed_form():
 def test_criterion_3_baseline_single_set_attack_succeeds():
     with criterion(3):
         secret = [0] * 50 + [1] * 50
-        result = run_single_set_attack(baseline_config(), secret, seed=11)
+        result = run_single_set_attack(baseline_config(seed=11), secret)
         assert result.accuracy == 1.0
         lat0 = [l for b, l in zip(secret, result.probe_latencies) if b == 0]
         lat1 = [l for b, l in zip(secret, result.probe_latencies) if b == 1]
@@ -84,18 +84,17 @@ def test_criterion_4_defended_single_set_attack_fails():
             for seed in range(20):
                 result = run_single_set_attack(
                     backup_config(12, 16, seed=seed), secret,
-                    filler_bytes=filler_kb * 1024, seed=seed)
+                    filler_bytes=filler_kb * 1024)
                 assert result.accuracy <= 0.60, (filler_kb, seed, result.accuracy)
 
 
 def test_criterion_5_aes_ttable_attack():
     with criterion(5):
-        base = run_aes_attack(baseline_config(), 1000, bytes(range(16)), seed=21)
-        gap = aes_set_mean_gap(base)
+        base = run_aes_attack(baseline_config(seed=21), 1000, bytes(range(16)))
+        gap = aes_set_mean_gap(base, bytes(range(16)))
         assert gap > 20 - 2  # exceeds the L2-hit minus L1-hit latency delta
         for lo, hi in ((12, 16), (8, 16), (4, 16)):
-            res = run_aes_attack(backup_config(lo, hi, seed=21), 1000,
-                                 bytes(range(16)), seed=21)
+            res = run_aes_attack(backup_config(lo, hi, seed=21), 1000, bytes(range(16)))
             assert aes_max_set_deviation(res) < 0.25 * gap, (lo, hi)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import aes_max_set_deviation, aes_set_mean_gap
+from conftest import aes_max_set_deviation, aes_set_mean_gap, aes_touched_sets
 from reference import bit_slice, resident
 
 from bcsim.attacks import (
@@ -19,30 +19,39 @@ from bcsim.simulator import SimConfig, Simulator, backup_config, baseline_config
 
 GEO = SimConfig().l1d
 KEY = bytes(range(16))
+# The FIPS-197 example key: unlike KEY, its high nibbles move the lookup lines.
+FIPS_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+
+def all_lines(eviction_set):
+    """Every address of build_eviction_set's result, in prime order."""
+    set_lines, filler = eviction_set
+    return [addr for lines in set_lines for addr in lines] + filler
 
 
 def test_eviction_set_maps_to_target_set():
-    es = build_eviction_set(GEO, [5], filler_bytes=0, rng=random.Random(1))
-    assert len(es.set_lines[5]) == GEO.ways
-    for addr in es.set_lines[5]:
+    (lines,), filler = build_eviction_set(GEO, [5], filler_bytes=0, rng=random.Random(1))
+    assert len(lines) == GEO.ways
+    for addr in lines:
         assert bit_slice(addr, GEO)[1] == 5
-    assert es.filler == []
+    assert filler == []
 
 
 def test_eviction_set_filler_count_and_disjointness():
     es = build_eviction_set(GEO, [5], filler_bytes=4096, rng=random.Random(1))
-    assert len(es.filler) == 64
-    for addr in es.filler:
+    _, filler = es
+    assert len(filler) == 64
+    for addr in filler:
         assert bit_slice(addr, GEO)[1] != 5
-    assert len(set(es.all_lines())) == len(es.all_lines())
+    assert len(set(all_lines(es))) == len(all_lines(es))
 
 
 def test_eviction_set_deterministic_by_seed():
     a = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(42))
     b = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(42))
     c = build_eviction_set(GEO, [5], filler_bytes=8192, rng=random.Random(43))
-    assert a.all_lines() == b.all_lines()
-    assert a.all_lines() != c.all_lines()
+    assert all_lines(a) == all_lines(b)
+    assert all_lines(a) != all_lines(c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,19 +61,20 @@ def test_eviction_set_properties(targets, n_filler, seed):
     assume(n_filler == 0 or len(targets) < GEO.num_sets)
     filler_bytes = n_filler * GEO.line_bytes
     es = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))
-    assert list(es.set_lines) == targets
-    for s, lines in es.set_lines.items():
+    set_lines, filler = es
+    assert len(set_lines) == len(targets)
+    for s, lines in zip(targets, set_lines):
         assert len(lines) == GEO.ways
         assert all(bit_slice(addr, GEO)[1] == s for addr in lines)
     spare = [s for s in range(GEO.num_sets) if s not in targets]
-    assert len(es.filler) == n_filler
-    for i, addr in enumerate(es.filler):
+    assert len(filler) == n_filler
+    for i, addr in enumerate(filler):
         assert bit_slice(addr, GEO)[1] not in targets
         assert bit_slice(addr, GEO)[1] == spare[i % len(spare)]
-    lines = es.all_lines()
+    lines = all_lines(es)
     assert len(set(lines)) == len(lines)
     again = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))
-    assert again.all_lines() == lines
+    assert all_lines(again) == lines
 
 
 def test_eviction_set_filler_needs_spare_sets():
@@ -105,9 +115,17 @@ def test_baseline_single_set_fully_distinguishable():
     assert max(lat0) < min(lat1)
 
 
+def test_single_set_probe_sums_lines_and_filler():
+    """Undefended, a bit-0 trial's probe hits every target line and filler line."""
+    cfg = baseline_config()
+    result = run_single_set_attack(cfg, [0, 1], filler_bytes=4096)
+    geo = cfg.l1d
+    assert result.probe_latencies[0] == (geo.ways + 4096 // geo.line_bytes) * geo.hit_cycles
+
+
 def test_backup_mode_no_filler_all_hits():
     secret = [0] * 20 + [1] * 20
-    result = run_single_set_attack(backup_config(12, 16, seed=2), secret, seed=2)
+    result = run_single_set_attack(backup_config(12, 16, seed=2), secret)
     assert len(set(result.probe_latencies)) == 1
     assert result.degenerate
 
@@ -117,56 +135,58 @@ def test_eviction_set_soundness_baseline():
     cfg = baseline_config()
     sim = Simulator(cfg)
     geo = cfg.l1d
-    es = build_eviction_set(geo, [5], rng=random.Random(3))
-    for a in es.set_lines[5]:
+    (lines,), _ = build_eviction_set(geo, [5], rng=random.Random(3))
+    for a in lines:
         sim.access(a)
     from bcsim.core import compose
     sim.access(compose(1 << 24, 5, geo))
-    assert sum(resident(sim.l1d, geo, a) for a in es.set_lines[5]) == geo.ways - 1
+    assert sum(resident(sim.l1d, geo, a) for a in lines) == geo.ways - 1
 
 
 def test_attack_reproducible_by_seed():
     secret = [0, 1] * 10
-    a = run_single_set_attack(backup_config(seed=5), secret, filler_bytes=4096, seed=5)
-    b = run_single_set_attack(backup_config(seed=5), secret, filler_bytes=4096, seed=5)
+    a = run_single_set_attack(backup_config(seed=5), secret, filler_bytes=4096)
+    b = run_single_set_attack(backup_config(seed=5), secret, filler_bytes=4096)
     assert a.probe_latencies == b.probe_latencies
 
 
 def test_aes_matrix_shape():
-    result = run_aes_attack(backup_config(seed=1), 10, KEY, seed=1)
+    result = run_aes_attack(backup_config(seed=1), 10, KEY)
     assert result.latencies.shape == (10, 64)
-    assert result.touched.shape == (10, 64)
+    assert len(result.plaintexts) == 10
 
 
 def test_aes_empty_sample_count():
-    result = run_aes_attack(backup_config(seed=1), 0, KEY, seed=1)
+    result = run_aes_attack(backup_config(seed=1), 0, KEY)
     assert result.latencies.shape == (0, 64)
 
 
 def test_aes_rejects_bad_key():
     with pytest.raises(CacheError):
-        run_aes_attack(backup_config(seed=1), 1, b"short", seed=1)
+        run_aes_attack(backup_config(seed=1), 1, b"short")
 
 
 def test_aes_first_round_touch_model():
-    result = run_aes_attack(backup_config(seed=1), 50, KEY, seed=9)
-    for sample in range(50):
-        p = result.plaintexts[sample]
-        expect = {(i % 4) * 16 + ((p[i] ^ KEY[i]) >> 4) for i in range(16)}
-        assert set(np.flatnonzero(np.asarray(result.touched)[sample])) == expect
+    """Undefended, the sets probed slower than a sample's minimum are exactly
+    the 16 first-round lookups of its plaintext under the key."""
+    for key in (KEY, FIPS_KEY):
+        result = run_aes_attack(baseline_config(seed=9), 50, key)
+        for row, plaintext in zip(result.latencies.tolist(), result.plaintexts):
+            slow = {s for s, lat in enumerate(row) if lat > min(row)}
+            assert slow == aes_touched_sets(plaintext, key)
 
 
 def test_aes_baseline_bimodal():
-    result = run_aes_attack(baseline_config(seed=1), 150, KEY, seed=2)
-    assert aes_set_mean_gap(result) > 20 - 2
+    result = run_aes_attack(baseline_config(seed=2), 150, KEY)
+    assert aes_set_mean_gap(result, KEY) > 20 - 2
 
 
 def test_aes_backup_uniform():
-    result = run_aes_attack(backup_config(12, 16, seed=1), 150, KEY, seed=2)
+    result = run_aes_attack(backup_config(12, 16, seed=2), 150, KEY)
     assert aes_max_set_deviation(result) < 5.0
 
 
 def test_aes_reproducible():
-    a = run_aes_attack(backup_config(seed=3), 20, KEY, seed=3)
-    b = run_aes_attack(backup_config(seed=3), 20, KEY, seed=3)
+    a = run_aes_attack(backup_config(seed=3), 20, KEY)
+    b = run_aes_attack(backup_config(seed=3), 20, KEY)
     assert np.array_equal(np.asarray(a.latencies), np.asarray(b.latencies))

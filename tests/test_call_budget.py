@@ -82,34 +82,38 @@ def trace_costs(make_config) -> tuple[float, float]:
 
 
 @functools.cache
-def aes_costs() -> tuple[float, float]:
-    """The second sample's (calls, opcodes) per access of run_aes_attack, so
-    the setup that a 1- and a 2-sample run share (eviction set, simulator)
-    drops out."""
-    config = backup_config()
+def aes_costs(seed: int | None) -> tuple[float, float]:
+    """Mean (calls, opcodes) per access of samples 2-9 of run_aes_attack on
+    the defended config with this seed (None: the default seed), as a
+    9-sample run minus a 1-sample run, so that their shared setup (eviction
+    set, simulator) and the first sample's cold misses drop out."""
+    config = backup_config() if seed is None else backup_config(seed=seed)
 
     def run(samples):
         calls, opcodes, result = count_events(
-            lambda: run_aes_attack(config, samples, bytes(range(16)), seed=1))
+            lambda: run_aes_attack(config, samples, bytes(range(16))))
         # Per sample: prime and probe every way of the 64 T-table sets, plus 16 victim loads.
         return calls, opcodes, len(result.latencies) * (2 * 64 * config.l1d.ways + 16)
 
-    (calls1, opcodes1, accesses1), (calls2, opcodes2, accesses2) = run(1), run(2)
-    accesses = accesses2 - accesses1
-    return (calls2 - calls1) / accesses, (opcodes2 - opcodes1) / accesses
+    (calls1, opcodes1, accesses1), (calls9, opcodes9, accesses9) = run(1), run(9)
+    accesses = accesses9 - accesses1
+    return (calls9 - calls1) / accesses, (opcodes9 - opcodes1) / accesses
 
 
 # Each ceiling sits a small margin above the figure measured on Python
-# 3.11.7 (calls 0.174, 0.026 and 0.108; opcodes 159.1, 90.3 and 115.8 per
-# access). Comprehension frames, which Python 3.12 inlines, only lower the
-# call counts. Bytecode differs between CPython minor versions, so the
-# opcode ceilings hold on 3.11, the version CI runs, only.
+# 3.11.7 (calls 0.174, 0.026 and, the largest over the AES seeds, 0.184;
+# opcodes 159.1, 90.3 and 123.7 per access). Comprehension frames, which
+# Python 3.12 inlines, only lower the call counts. Bytecode differs between
+# CPython minor versions, so the opcode ceilings hold on 3.11, the version
+# CI runs, only.
 OPCODES_3_11 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                   reason="opcode ceilings are measured on CPython 3.11")
 TRACE_CEILINGS = [
     (backup_config, 0.2, 162),
     (baseline_config, 0.04, 92),
 ]
+# bcsim attack aes seeds its attacker from the config: these config seeds.
+AES_SEEDS = (1, 2, 3, None)
 
 
 @pytest.mark.parametrize("make_config, calls, opcodes", TRACE_CEILINGS, ids=["backup", "baseline"])
@@ -124,18 +128,21 @@ def test_trace_opcodes_per_access(make_config, calls, opcodes):
 
 
 def test_aes_attack_calls_per_access():
-    assert aes_costs()[0] <= 0.12
+    for seed in AES_SEEDS:
+        assert aes_costs(seed)[0] <= 0.2, seed
 
 
 @OPCODES_3_11
 def test_aes_attack_opcodes_per_access():
-    assert aes_costs()[1] <= 118
+    for seed in AES_SEEDS:
+        assert aes_costs(seed)[1] <= 126, seed
 
 
 if __name__ == "__main__":
-    # Prints the six figures the tests bound, e.g. for a CI log:
+    # Prints the figures the tests bound, e.g. for a CI log:
     #   PYTHONPATH=src python tests/test_call_budget.py
     for name, (calls, opcodes) in (("trace-bc", trace_costs(backup_config)),
                                    ("trace-baseline", trace_costs(baseline_config)),
-                                   ("attack-aes", aes_costs())):
-        print(f"{name:14s} {calls:.4f} calls, {opcodes:.2f} opcodes per access")
+                                   *((f"attack-aes seed={seed}", aes_costs(seed))
+                                     for seed in AES_SEEDS)):
+        print(f"{name:20s} {calls:.4f} calls, {opcodes:.2f} opcodes per access")

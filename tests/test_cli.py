@@ -195,7 +195,8 @@ def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
     (["analyze", "--trials", "0", "--out", "OUT"], False),
     (["analyze", "--trials", "10", "--out", "OUT"], True),
     (["attack", "aes", "--samples", "1", "--out", "OUT"], False),
-], ids=["sweep", "analyze-closed-form", "analyze-monte-carlo", "attack-aes"])
+    (["attack", "single_set", "--bits", "8", "--filler-kb", "4", "--out", "OUT"], False),
+], ids=["sweep", "analyze-closed-form", "analyze-monte-carlo", "attack-aes", "attack-single-set"])
 def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_imported):
     subs = {"TRACE": str(trace_file), "OUT": str(tmp_path / "o.csv")}
     report = _sim_in_fresh_process([subs.get(a, a) for a in argv])
@@ -206,7 +207,8 @@ def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_im
     ["sim", "--trace", "TRACE", "--format", "structured"],
     ["sweep", "--trace", "TRACE", "--thresholds", "25,100"],
     ["attack", "aes", "--samples", "3"],
-], ids=["sim", "sweep", "attack-aes"])
+    ["attack", "single_set", "--bits", "8", "--filler-kb", "4"],
+], ids=["sim", "sweep", "attack-aes", "attack-single-set"])
 def test_commands_run_without_numpy(tmp_path, trace_file, argv):
     argv = [str(trace_file) if a == "TRACE" else a for a in argv]
     here, fresh = tmp_path / "here.out", tmp_path / "fresh.out"
@@ -221,7 +223,7 @@ import json, sys
 from bcsim.attacks import run_aes_attack
 from bcsim.simulator import SimConfig
 imported = "numpy" in sys.modules
-result = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1)
+result = run_aes_attack(SimConfig(seed=1), 2, bytes(range(16)))
 print(json.dumps({"numpy_at_import": imported, "numpy_after_call": "numpy" in sys.modules,
                   "type": type(result.latencies).__name__, "format": result.latencies.format,
                   "shape": result.latencies.shape, "latencies": result.latencies.tolist()}))
@@ -230,7 +232,7 @@ print(json.dumps({"numpy_at_import": imported, "numpy_after_call": "numpy" in sy
 
 def test_run_aes_attack_never_imports_numpy():
     report = _in_fresh_process(_AES_API_IN_FRESH_PROCESS, [])
-    expected = run_aes_attack(SimConfig(), 2, bytes(range(16)), seed=1).latencies
+    expected = run_aes_attack(SimConfig(seed=1), 2, bytes(range(16))).latencies
     assert report == {"numpy_at_import": False, "numpy_after_call": False,
                       "type": "memoryview", "format": "q", "shape": [2, 64],
                       "latencies": expected.tolist()}
@@ -302,7 +304,7 @@ def test_attack_aes_echoes_per_set_mean_spread(tmp_path, capsys, config_text, sa
         argv += ["--config", str(config_path)]
     assert main([*argv, "--out", str(tmp_path / "aes.csv")]) == EXIT_OK
     result = run_aes_attack(load_config(config_path and str(config_path), 4), samples,
-                            bytes(range(16)), seed=4)
+                            bytes(range(16)))
     means = np.asarray(result.latencies).mean(axis=0) if samples else np.zeros(1)
     spread = means.max() - means.min()
     assert capsys.readouterr().out.splitlines()[0] == f"per_set_mean_latency_spread={spread:.2f}"
