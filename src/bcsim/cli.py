@@ -12,7 +12,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -40,6 +40,7 @@ _GEOMETRY_FIELDS = {"line_bytes": "line_bytes", "sets": "num_sets", "ways": "way
                     "hit_cycles": "hit_cycles"}
 # YAML key -> SimConfig field, or a section's own table. The l1d and l2
 # sections fill a CacheGeometry; the others set SimConfig fields directly.
+# load_config reads these keys and dump_config writes them.
 _SCHEMA = {
     "mode": "mode",
     "seed": "seed",
@@ -83,6 +84,15 @@ def _fields(mapping, schema: dict, where: str, prefix: str = "") -> dict:
         else:
             raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
     return fields
+
+
+def dump_config(config, schema: dict = _SCHEMA) -> dict:
+    """config in the YAML keys load_config reads, _fields inverted. A None
+    value is left out, so an unset resize threshold drops its section."""
+    data = {key: getattr(config, name) if not isinstance(name, dict)
+            else dump_config(getattr(config, key) if name is _GEOMETRY_FIELDS else config, name)
+            for key, name in schema.items()}
+    return {key: value for key, value in data.items() if value not in (None, {})}
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> SimConfig:
@@ -135,8 +145,7 @@ def _write_with_manifest(out_path: Path, text: str, command: str, config: SimCon
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "config": asdict(config),
-        "seed": config.seed,
+        "config": dump_config(config),
         "outputs": [str(out_path)],
         "wall_clock_seconds": round(time.time() - started, 3),
     }
@@ -183,7 +192,7 @@ def cli():
 @click.option("--config", "config_path", type=click.Path(), default=None, help="YAML config file.")
 @click.option("--trace", "trace_path", type=click.Path(), required=True, help="Trace file.")
 @_out_option(help="Stats output file.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]), default="text")
 def cmd_sim(config_path, trace_path, out_path, seed, fmt):
     """Run a trace through the simulator and write aggregate statistics."""
@@ -206,7 +215,7 @@ def cmd_sim(config_path, trace_path, out_path, seed, fmt):
 @click.argument("scenario", type=click.Choice(["single_set", "aes"]))
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @_out_option(help="CSV output file.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--bits", type=click.IntRange(min=2), default=100,
               help="single_set: number of secret bits.")
 @click.option("--filler-kb", type=click.IntRange(min=0), default=0,
@@ -299,7 +308,7 @@ def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
 @_out_option(help="CSV output file.")
 @click.option("--thresholds", default="10,50,100,200,500,1000",
               help="Comma-separated fixed resize thresholds.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
     """Replay one trace per fixed resize threshold plus once in dynamic mode."""
     started = time.time()

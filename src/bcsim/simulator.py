@@ -53,6 +53,8 @@ class SimConfig:
             raise ConfigError("L1D and L2 must share one line size")
         if self.memory_penalty_cycles < 1:
             raise ConfigError("memory_penalty_cycles must be positive")
+        if self.seed < 0:  # random.Random(-s) replays Random(s)
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mode == MODE_BACKUP:
             if not 1 <= self.backup_min <= self.backup_max:
                 raise ConfigError(

@@ -15,9 +15,9 @@ only if every mutant was killed.
 
 The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
-cold paths (resize, context switch) call, and of the attacks' prime,
-victim and probe steps: a change to that text must update this table, not
-drop a row.
+cold paths (resize, context switch) call, of the attacks' prime, victim
+and probe steps, and of cli.dump_config: a change to that text must update
+this table, not drop a row.
 """
 
 import os
@@ -36,6 +36,8 @@ TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
 STREAMS = "tests/test_golden.py::test_outcome_stream"
 GOLDEN = "tests/test_golden.py::test_golden"
 TOUCH_MODEL = "tests/test_attacks.py::test_aes_first_round_touch_model"
+CONFIG_ROUND_TRIP = ("tests/test_cli.py::test_dump_config_loads_back",
+                     "tests/test_cli.py::test_manifest_config_reruns_the_output")
 
 
 class Mutant(NamedTuple):
@@ -160,6 +162,10 @@ MUTANTS = [
            "[]",
            ("tests/test_attacks.py::test_baseline_single_set_fully_distinguishable",
             TOUCH_MODEL, GOLDEN)),
+    Mutant("dump-keeps-unset-threshold", "cli.py",
+           "if value not in (None, {})",
+           "if value != {}",
+           CONFIG_ROUND_TRIP),
 ]
 
 

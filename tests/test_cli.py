@@ -16,10 +16,19 @@ from bcsim.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    dump_config,
     load_config,
     main,
 )
-from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, ConfigError, SimConfig, Simulator
+from bcsim.simulator import (
+    MODE_BACKUP,
+    MODE_BASELINE,
+    ConfigError,
+    SimConfig,
+    Simulator,
+    backup_config,
+    baseline_config,
+)
 from bcsim.trace import parse_trace, run_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -111,6 +120,7 @@ def test_load_config_unknown_key(tmp_path):
     ("backup: {max_lines: '256'}\n", "backup.max_lines must be an integer, got '256'"),
     ("resize: {threshold: true}\n", "resize.threshold must be an integer, got True"),
     ("seed: null\n", "seed must be an integer, got None"),
+    ("seed: -1\n", "seed must be non-negative, got -1"),
 ])
 def test_load_config_error_messages(tmp_path, text, message):
     path = tmp_path / "c.yaml"
@@ -129,7 +139,26 @@ def test_sim_roundtrip(tmp_path, trace_file):
     assert data["stats"]["ctx_switches"] == 1
     manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
     assert manifest["command"] == "sim"
-    assert manifest["config"]["backup_max"] == 256
+    assert manifest["config"]["backup"]["max_lines"] == 256
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(),
+    baseline_config(),
+    backup_config(12, 16, seed=1),
+    backup_config(8, 16, seed=3),
+    backup_config(4, 16, seed=0),
+    SimConfig(fixed_threshold=97),
+], ids=["defaults", "baseline", "bc-12-16", "bc-8-16", "bc-4-16", "fixed-97"])
+def test_dump_config_loads_back(tmp_path, config):
+    """dump_config writes the keys load_config reads, as the manifest's JSON
+    and as YAML; an unset resize threshold writes no resize section."""
+    path = tmp_path / "c.yaml"
+    data = dump_config(config)
+    assert ("resize" in data) == (config.fixed_threshold is not None)
+    for text in (json.dumps(data), yaml.safe_dump(data)):
+        path.write_text(text)
+        assert load_config(str(path)) == config
 
 
 def test_sim_rerun_byte_identical(tmp_path, trace_file):
@@ -437,6 +466,10 @@ def test_unknown_subcommand():
     (["analyze", "--p", "-0.5", "--trials", "10"], EXIT_USAGE),
     (["analyze", "--p", "nan", "--trials", "10"], EXIT_USAGE),
     (["analyze", "--range", "16-12", "--trials", "10"], EXIT_USAGE),
+    # A negative seed would replay its absolute value's random stream.
+    (["sim", "--trace", "t.trace", "--seed", "-5"], EXIT_USAGE),
+    (["attack", "aes", "--samples", "1", "--seed", "-5"], EXIT_USAGE),
+    (["sweep", "--trace", "t.trace", "--seed", "-5"], EXIT_USAGE),
 ])
 def test_bad_option_exit_code(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == code
@@ -477,6 +510,7 @@ def test_out_naming_a_directory_exit_usage(tmp_path):
     "backup: {capacity_lines: 256}\n",
     "l1d: {ways: true}\n",
     "seed: null\n",
+    "seed: -1\n",
     "memory_penalty_cycles: '100'\n",
     "{1: 2}\n",
     # 2**60-byte lines leave no room in the 48-bit address space.
@@ -533,6 +567,36 @@ _WRITING_COMMANDS = [  # each writes a data file and a manifest
     ["attack", "aes", "--samples", "1"],
     ["sweep", "--trace", "TRACE", "--thresholds", "50"],
 ]
+
+
+# A non-default config for each writing command; sweep rejects a baseline config.
+_RERUN_CONFIGS = {
+    "bc-4-16-fixed": ("backup: {min_lines: 64, max_lines: 256}\nresize: {threshold: 97}\n"
+                      "memory_penalty_cycles: 150\nl2: {sets: 1024}\n"),
+    "baseline": "mode: baseline\n",
+}
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    pytest.param(argv, text, id=f"{_command_id(argv)}-{name}")
+    for name, text in _RERUN_CONFIGS.items() for argv in _WRITING_COMMANDS
+    if not (argv[0] == "sweep" and name == "baseline")])
+def test_manifest_config_reruns_the_output(tmp_path, trace_file, argv, config_text):
+    """A manifest's config saved as the --config file reruns the command byte
+    for byte, without the --seed the first run was given."""
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    given, recorded = tmp_path / "given.yaml", tmp_path / "recorded.json"
+    first, rerun = tmp_path / "first.out", tmp_path / "rerun.out"
+    given.write_text(config_text)
+    assert main([*argv, "--config", str(given), "--seed", "7", "--out", str(first)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "first.out.manifest.json").read_text())
+    assert "seed" not in manifest and manifest["config"]["seed"] == 7
+    recorded.write_text(json.dumps(manifest["config"], indent=2))
+    assert main([*argv, "--config", str(recorded), "--out", str(rerun)]) == EXIT_OK
+    assert rerun.read_bytes() == first.read_bytes()
+    # The rerun records the same config, so its manifest reruns it in turn.
+    assert json.loads((tmp_path / "rerun.out.manifest.json").read_text())["config"] == \
+        manifest["config"]
 
 
 @pytest.mark.parametrize("argv", [*_WRITING_COMMANDS, ["analyze", "--trials", "0"]],
