@@ -140,10 +140,15 @@ def _csv_text(rows) -> str:
 
 def _write_with_manifest(out_path: Path, text: str, command: str, config: SimConfig,
                          started: float) -> None:
-    """Write a data file and its manifest; a failed manifest write removes the data file."""
+    """Write a data file and its manifest; a failed manifest write removes the data file.
+
+    The manifest records the running command's parameters as given, under
+    their Python names: every option, input path and argument.
+    """
     _write(out_path, text)
     manifest = {
         "command": command,
+        "options": click.get_current_context().params,
         "tool_version": __version__,
         "config": dump_config(config),
         "outputs": [str(out_path)],

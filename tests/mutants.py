@@ -16,8 +16,8 @@ only if every mutant was killed.
 The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
 cold paths (resize, context switch) call, of the attacks' prime, victim
-and probe steps, and of cli.dump_config: a change to that text must update
-this table, not drop a row.
+and probe steps, of the trace file's block parse and of cli.dump_config:
+a change to that text must update this table, not drop a row.
 """
 
 import os
@@ -36,6 +36,8 @@ TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
 STREAMS = "tests/test_golden.py::test_outcome_stream"
 GOLDEN = "tests/test_golden.py::test_golden"
 TOUCH_MODEL = "tests/test_attacks.py::test_aes_first_round_touch_model"
+FILE_BLOCKS = ("tests/test_trace.py::test_file_blocks_bulk_and_per_line",
+               "tests/test_trace.py::test_file_blocks_parse_as_lines")
 CONFIG_ROUND_TRIP = ("tests/test_cli.py::test_dump_config_loads_back",
                      "tests/test_cli.py::test_manifest_config_reruns_the_output")
 
@@ -162,6 +164,22 @@ MUTANTS = [
            "[]",
            ("tests/test_attacks.py::test_baseline_single_set_fully_distinguishable",
             TOUCH_MODEL, GOLDEN)),
+    Mutant("bulk-address-width-unbounded", "trace.py",
+           "(?:R|W|INV) {_ADDR}",
+           "(?:R|W|INV) 0x[0-9a-fA-F]+",
+           FILE_BLOCKS),
+    Mutant("bulk-cs-record-dropped", "trace.py",
+           "records.append(_CTXSWITCH)",
+           "pass",
+           FILE_BLOCKS),
+    Mutant("fallback-lineno-off-by-one", "trace.py",
+           'block[:-1].split("\\n"), lineno)',
+           'block[:-1].split("\\n"), lineno + 1)',
+           FILE_BLOCKS),
+    Mutant("ambiguous-address-pattern", "trace.py",
+           '_ADDR = r"0x(?:0*[1-9a-fA-F][0-9a-fA-F]{0,11}|0+)"',
+           '_ADDR = r"0x0*[0-9a-fA-F]{1,12}"',
+           ("tests/test_trace.py::test_failed_block_match_is_linear",)),
     Mutant("dump-keeps-unset-threshold", "cli.py",
            "if value not in (None, {})",
            "if value != {}",

@@ -1,4 +1,5 @@
-"""Python function calls and bytecodes per simulated access stay within a budget.
+"""Python function calls and bytecodes per simulated access, and per line of
+a parsed trace file, stay within a budget.
 
 Host timing on a small, shared machine cannot resolve a few percent, but
 the number of Python-level calls and of bytecodes the simulator executes
@@ -15,12 +16,21 @@ work inside C calls, so report them next to time, not instead of it.
 import functools
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from bcsim.attacks import run_aes_attack
 from bcsim.simulator import Simulator, backup_config, baseline_config
-from bcsim.trace import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE, run_trace
+from bcsim.trace import (
+    KIND_CTXSWITCH,
+    KIND_INVALIDATE,
+    KIND_LOAD,
+    KIND_STORE,
+    parse_trace,
+    run_trace,
+)
 
 
 def _records(n=20_000, seed=3):
@@ -100,6 +110,30 @@ def aes_costs(seed: int | None) -> tuple[float, float]:
     return (calls9 - calls1) / accesses, (opcodes9 - opcodes1) / accesses
 
 
+def write_trace_file(path: Path) -> Path:
+    """_records(100_000) as a trace file shaped like the benchmark's: a comment
+    line, then one canonical line per record."""
+    ops = {KIND_LOAD: "R", KIND_STORE: "W", KIND_INVALIDATE: "INV"}
+    lines = ["# perfbench-shaped trace"]
+    lines += ["CS" if kind == KIND_CTXSWITCH else f"{ops[kind]} {addr:#x}"
+              for kind, addr in _records(100_000)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def parse_costs(path: Path) -> tuple[float, float]:
+    """(calls, opcodes) per line of parse_trace over the trace file at path."""
+    with open(path) as fh:
+        calls, opcodes, records = count_events(lambda: parse_trace(fh))
+    lines = len(records) + 1  # the comment line
+    return calls / lines, opcodes / lines
+
+
+@pytest.fixture(scope="module")
+def parse_figures(tmp_path_factory):
+    return parse_costs(write_trace_file(tmp_path_factory.mktemp("parse") / "bench.trace"))
+
+
 # Each ceiling sits a small margin above the figure measured on Python
 # 3.11.7 (calls 0.174, 0.026 and, the largest over the AES seeds, 0.184;
 # opcodes 159.1, 90.3 and 123.7 per access). Comprehension frames, which
@@ -138,6 +172,22 @@ def test_aes_attack_opcodes_per_access():
         assert aes_costs(seed)[1] <= 126, seed
 
 
+# Per line of a parsed trace file, read in blocks of about 4 KB: a canonical
+# block costs a few Python calls in all, so the block of the comment line,
+# parsed line by line, makes most of them (0.0096 calls and 0.66 opcodes per
+# line on 3.11.7; 1.0016 and 61.0 when every line went through parse_line).
+PARSE_CALLS, PARSE_OPCODES = 0.02, 1.5
+
+
+def test_parse_calls_per_line(parse_figures):
+    assert parse_figures[0] <= PARSE_CALLS
+
+
+@OPCODES_3_11
+def test_parse_opcodes_per_line(parse_figures):
+    assert parse_figures[1] <= PARSE_OPCODES
+
+
 if __name__ == "__main__":
     # Prints the figures the tests bound, e.g. for a CI log:
     #   PYTHONPATH=src python tests/test_call_budget.py
@@ -146,3 +196,6 @@ if __name__ == "__main__":
                                    *((f"attack-aes seed={seed}", aes_costs(seed))
                                      for seed in AES_SEEDS)):
         print(f"{name:20s} {calls:.4f} calls, {opcodes:.2f} opcodes per access")
+    with tempfile.TemporaryDirectory() as tmp:
+        calls, opcodes = parse_costs(write_trace_file(Path(tmp) / "bench.trace"))
+    print(f"{'parse_trace file':20s} {calls:.4f} calls, {opcodes:.2f} opcodes per line")

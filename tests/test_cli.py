@@ -599,6 +599,31 @@ def test_manifest_config_reruns_the_output(tmp_path, trace_file, argv, config_te
         manifest["config"]
 
 
+def test_manifest_records_the_options(tmp_path):
+    """Two attack aes runs that differ only in --samples write manifests
+    that differ in that option, beside their output paths."""
+    options = []
+    for samples in (3, 5):
+        out = tmp_path / f"aes{samples}.csv"
+        assert main(["attack", "aes", "--samples", str(samples), "--out", str(out)]) == EXIT_OK
+        options.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["options"])
+    assert {key for key in options[0] if options[0][key] != options[1][key]} == \
+        {"samples", "out_path"}
+    assert options[1] == {"scenario": "aes", "config_path": None,
+                          "out_path": str(tmp_path / "aes5.csv"), "seed": None, "bits": 100,
+                          "filler_kb": 0, "samples": 5,
+                          "key_hex": "000102030405060708090a0b0c0d0e0f"}
+
+
+def test_manifest_records_the_input_paths(tmp_path, trace_file):
+    out, config = tmp_path / "stats.txt", tmp_path / "c.yaml"
+    config.write_text("seed: 3\n")
+    argv = ["sim", "--trace", str(trace_file), "--config", str(config), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    options = json.loads((tmp_path / "stats.txt.manifest.json").read_text())["options"]
+    assert (options["trace_path"], options["config_path"]) == (str(trace_file), str(config))
+
+
 @pytest.mark.parametrize("argv", [*_WRITING_COMMANDS, ["analyze", "--trials", "0"]],
                          ids=_command_id)
 def test_out_dangling_symlink_exit_input(tmp_path, trace_file, capsys, argv):

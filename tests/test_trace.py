@@ -1,12 +1,14 @@
 import re
 import string
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
+from bcsim import trace
 from bcsim.core import CacheGeometry
 from bcsim.simulator import MODE_BACKUP, MODE_BASELINE, SimConfig, Simulator, baseline_config
 from bcsim.trace import (
@@ -122,6 +124,76 @@ def test_parse_line_matches_reference_grammar(line, lineno):
         assert (str(got.value), got.value.lineno) == (str(exc), exc.lineno)
     else:
         assert parse_line(lineno, line) == expected
+
+
+# Lines in the canonical form a file block is parsed in bulk from, with
+# addresses of 1 to 14 digits, so some are too wide.
+_CANONICAL_LINES = st.one_of(
+    st.just("CS"), st.just(""),
+    st.tuples(st.sampled_from(["R", "W", "INV"]),
+              st.text(alphabet=string.hexdigits, min_size=1, max_size=14),
+              ).map("{0[0]} 0x{0[1]}".format),
+)
+
+
+def _parse_file(path: Path):
+    """parse_trace over the file at path read in blocks, then over the same
+    file's lines one by one: (records or TraceError text and line) each."""
+    results = []
+    for source in (lambda fh: fh, list):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                results.append(parse_trace(source(fh)))
+            except TraceError as exc:
+                results.append((str(exc), exc.lineno))
+    return results
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.tuples(st.one_of(_RECORD_LINES, _CANONICAL_LINES),
+                                st.sampled_from(["\n", "\r\n", ""])), max_size=40))
+@example(lines=[("R 0x10", "\n"), ("CS", "\n"), ("W 0x20", "\n"), ("CS", "\n"), ("CS", "\n"),
+                ("INV 0x30", "")])
+@example(lines=[("R 0x10", "\n"), ("W 0x1000000000000", "\n"), ("R 0x20", "\n")])
+@example(lines=[("R 0x10", "\n"), ("# c", "\r\n"), ("", "\n"), ("W 0x20", "\n"), ("X 0x1", "\n")])
+def test_file_blocks_parse_as_lines(tmp_path, monkeypatch, lines):
+    """A file read in blocks gives the records, or the TraceError text and
+    line number, that its lines parsed one by one give. 16-character blocks
+    put most lines of a file in a block of their own, or across two."""
+    monkeypatch.setattr(trace, "BLOCK_CHARS", 16)
+    path = tmp_path / "t.trace"
+    path.write_text("".join(line + end for line, end in lines), encoding="utf-8", newline="")
+    by_block, by_line = _parse_file(path)
+    assert by_block == by_line
+
+
+def test_file_blocks_bulk_and_per_line(tmp_path, monkeypatch):
+    """Canonical blocks, a commented block and a bad line after them: the
+    records, CS records between runs of accesses and the error's line number
+    match the per-line parse."""
+    monkeypatch.setattr(trace, "BLOCK_CHARS", 32)
+    lines = ["R 0x40", "CS", "W 0x80", "CS", "CS", "INV 0x0040", "", "R 0xc0  # hot"] * 5
+    path = tmp_path / "t.trace"
+    path.write_text("\n".join(lines) + "\n")
+    by_block, by_line = _parse_file(path)
+    assert by_block == by_line and len(by_block) == 35
+    path.write_text("\n".join([*lines, "W 0x0001000000000000", "R 0x40"]) + "\n")
+    by_block, by_line = _parse_file(path)
+    assert by_block == by_line == ("line 41: bad address '0x0001000000000000'", 41)
+
+
+def test_failed_block_match_is_linear(tmp_path):
+    """A canonical run of addresses with leading zeros, then a comment: the
+    block regex fails in linear time. An address pattern that can split its
+    zeros two ways took 8 s for these 13 lines, and about four times as
+    long for each line more."""
+    path = tmp_path / "t.trace"
+    path.write_text("R 0x0001\n" * 13 + "# end\n")
+    start = time.perf_counter()
+    with open(path) as fh:
+        assert parse_trace(fh) == [(KIND_LOAD, 1)] * 13
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_bad_hex_cites_line():
