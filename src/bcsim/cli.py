@@ -106,7 +106,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
         import yaml  # imported here, so a run without a config file skips its cost
 
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputDataError(f"cannot read config {path}: {exc}") from exc
         try:
@@ -127,7 +127,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
 def _write(path: Path, text: str) -> None:
     """Write one output file; any failure is an OutputError naming the path."""
     try:
-        path.write_text(text, newline="")
+        path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -165,7 +165,7 @@ def _write_with_manifest(out_path: Path, text: str, command: str, config: SimCon
 
 def _read_trace(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_trace(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read trace {path}: {exc}") from exc

@@ -17,7 +17,7 @@ _CTXSWITCH = (KIND_CTXSWITCH, None)
 # space, `CS`, or an empty line, each ending in "\n". Such a block holds
 # no comment, and no `S` outside a `CS` line.
 _CANONICAL = re.compile(rf"(?:(?:R|W|INV) {_ADDR}\n|CS\n|\n)*")
-# Characters a file is read in at a time; a block ends at the last newline.
+# Characters read at a time; a block is then completed to a whole line.
 BLOCK_CHARS = 4096
 
 # One parsed record: (kind, address), with address None for a context switch.
@@ -55,56 +55,34 @@ def parse_line(lineno: int, line: str) -> Optional[Record]:
     raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
 
 
-def _parse_lines(records: list[Record], lines: Iterable[str], lineno: int) -> None:
-    """Append the records of lines, numbered from lineno, through parse_line."""
-    for lineno, line in enumerate(lines, lineno):
-        rec = parse_line(lineno, line)
-        if rec is not None:
-            records.append(rec)
+def parse_trace(source: TextIO) -> list[Record]:
+    """Parse a text stream of trace lines into records, skipping comments
+    and blanks.
 
-
-def _parse_block(records: list[Record], block: str, lineno: int) -> None:
-    """Append the records of block, whole lines each ending in a newline and
-    numbered from lineno.
-
-    A canonical block becomes records in C calls, one run of lines between
-    `CS` lines at a time. Any other block goes line by line through
-    parse_line, which owns the grammar and its errors.
-    """
-    if not _CANONICAL.fullmatch(block):
-        _parse_lines(records, block[:-1].split("\n"), lineno)
-        return
-    for i, seg in enumerate(block.split("CS\n")):
-        if i:
-            records.append(_CTXSWITCH)
-        toks = seg.split()
-        records.extend(zip(map(_OPCODES.__getitem__, toks[::2]), map(int, toks[1::2], repeat(16))))
-
-
-def parse_trace(source: Iterable[str] | TextIO) -> list[Record]:
-    """Parse trace lines into records, skipping comments and blanks.
-
-    source is an iterable of lines, or a text file, which is read in blocks
-    of whole lines of about BLOCK_CHARS characters.
+    The stream is read in blocks of about BLOCK_CHARS characters, each
+    completed to a whole line. A canonical block becomes records in C
+    calls, one run of lines between `CS` lines at a time. Any other block
+    goes line by line through parse_line, which owns the grammar and its
+    errors.
     """
     records: list[Record] = []
-    read = getattr(source, "read", None)
-    if read is None:
-        _parse_lines(records, source, 1)
-        return records
-    lineno, pending = 1, []  # pending: the start of a line not yet ended
-    while chunk := read(BLOCK_CHARS):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            block = "".join(pending)
-            _parse_block(records, block, lineno)
-            lineno += block.count("\n")
-            pending.clear()
-        pending.append(chunk[cut:])
-    tail = "".join(pending)
-    if tail:  # a last line with no newline
-        _parse_lines(records, (tail,), lineno)
+    lineno = 1
+    while block := source.read(BLOCK_CHARS):
+        if block[-1] != "\n":
+            block += source.readline()
+        if _CANONICAL.fullmatch(block):
+            for i, seg in enumerate(block.split("CS\n")):
+                if i:
+                    records.append(_CTXSWITCH)
+                toks = seg.split()
+                records.extend(zip(map(_OPCODES.__getitem__, toks[::2]),
+                                   map(int, toks[1::2], repeat(16))))
+        else:
+            for n, line in enumerate(block.split("\n"), lineno):
+                rec = parse_line(n, line)
+                if rec is not None:
+                    records.append(rec)
+        lineno += block.count("\n")
     return records
 
 

@@ -173,8 +173,12 @@ MUTANTS = [
            "pass",
            FILE_BLOCKS),
     Mutant("fallback-lineno-off-by-one", "trace.py",
-           'block[:-1].split("\\n"), lineno)',
-           'block[:-1].split("\\n"), lineno + 1)',
+           'enumerate(block.split("\\n"), lineno)',
+           'enumerate(block.split("\\n"), lineno + 1)',
+           FILE_BLOCKS),
+    Mutant("block-not-completed", "trace.py",
+           "block += source.readline()",
+           "pass",
            FILE_BLOCKS),
     Mutant("ambiguous-address-pattern", "trace.py",
            '_ADDR = r"0x(?:0*[1-9a-fA-F][0-9a-fA-F]{0,11}|0+)"',

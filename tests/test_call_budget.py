@@ -174,7 +174,7 @@ def test_aes_attack_opcodes_per_access():
 
 # Per line of a parsed trace file, read in blocks of about 4 KB: a canonical
 # block costs a few Python calls in all, so the block of the comment line,
-# parsed line by line, makes most of them (0.0096 calls and 0.66 opcodes per
+# parsed line by line, makes most of them (0.0064 calls and 0.55 opcodes per
 # line on 3.11.7; 1.0016 and 61.0 when every line went through parse_line).
 PARSE_CALLS, PARSE_OPCODES = 0.02, 1.5
 

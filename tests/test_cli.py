@@ -97,9 +97,9 @@ def test_load_config_maps_each_key(tmp_path, data, field, value):
 
 def test_readme_config_example_loads(tmp_path):
     block = re.search(r"### Configuration file.*?```yaml\n(.*?)```",
-                      README.read_text(), re.S).group(1)
+                      README.read_text(encoding="utf-8"), re.S).group(1)
     path = tmp_path / "c.yaml"
-    path.write_text(block)
+    path.write_text(block, encoding="utf-8")
     assert load_config(str(path)) == SimConfig()
 
 
@@ -555,6 +555,31 @@ def test_non_utf8_config_exit_input(tmp_path, trace_file, capsys):
                "--out", str(tmp_path / "o.txt")])
     assert rc == EXIT_INPUT
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--format", "structured"],
+    ["sweep", "--thresholds", "25,100"],
+], ids=["sim", "sweep"])
+def test_input_files_are_read_as_utf8_in_any_locale(tmp_path, argv):
+    """In an ASCII locale with UTF-8 mode off, a trace with a no-break space
+    separator and a non-ASCII comment, and a config with a non-ASCII comment,
+    give the data a UTF-8 locale gives."""
+    trace = tmp_path / "t.trace"
+    trace.write_text("# é\nR\xa00x40\nW 0x80  # ü\nCS\nR 0x40\n", encoding="utf-8")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("# größe\nseed: 5\n", encoding="utf-8")
+    argv = [*argv, "--trace", str(trace), "--config", str(cfg)]
+    utf8 = tmp_path / "utf8.out"
+    assert main([*argv, "--out", str(utf8)]) == EXIT_OK
+    ascii_out = tmp_path / "ascii.out"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "bcsim.cli", *argv,
+                           "--out", str(ascii_out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ascii_out.read_bytes() == utf8.read_bytes()
 
 
 def _command_id(argv: list[str]) -> str:

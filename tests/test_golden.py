@@ -10,6 +10,7 @@ to alter outputs; re-record them with
 """
 
 import hashlib
+import io
 import json
 import random
 import tempfile
@@ -313,7 +314,7 @@ def outcome_stream_sha256(name: str, work: Path) -> str:
     config_path.write_text(CONFIGS[config_name])
     sim = Simulator(load_config(str(config_path), seed))
     digest = hashlib.sha256()
-    records = parse_trace(trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS).splitlines())
+    records = parse_trace(io.StringIO(trace_text(trace_seed, p_cs, p_inv, STREAM_RECORDS)))
     events = []
     sim.run(records, events=events)
     assert len(events) == len(records)

@@ -1,3 +1,4 @@
+import io
 import re
 import string
 import time
@@ -26,7 +27,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_basic_records():
-    records = parse_trace(["R 0x1040\n", "W 0x2000\n", "INV 0xff\n", "CS\n"])
+    records = parse_trace(io.StringIO("R 0x1040\nW 0x2000\nINV 0xff\nCS\n"))
     assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
                                              KIND_CTXSWITCH]
     assert records[0][1] == 0x1040
@@ -34,7 +35,7 @@ def test_parse_basic_records():
 
 
 def test_parse_skips_comments_and_blanks():
-    records = parse_trace(["# header\n", "\n", "   \n", "R 0x0\n"])
+    records = parse_trace(io.StringIO("# header\n\n   \nR 0x0\n"))
     assert len(records) == 1
 
 
@@ -64,9 +65,9 @@ def test_parse_tolerates_whitespace_and_comments(line, expected):
 
 
 def test_readme_trace_example_parses():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     block = re.search(r"### Trace format.*?```\n(.*?)```", text, re.S).group(1)
-    records = parse_trace(block.splitlines())
+    records = parse_trace(io.StringIO(block))
     assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
                                              KIND_CTXSWITCH]
     assert records[0][1] == 0x7F001040
@@ -136,14 +137,25 @@ _CANONICAL_LINES = st.one_of(
 )
 
 
+def _parse_lines(fh):
+    """The records of fh's lines, each parsed on its own by parse_line."""
+    records = []
+    for lineno, line in enumerate(fh, 1):
+        rec = parse_line(lineno, line)
+        if rec is not None:
+            records.append(rec)
+    return records
+
+
 def _parse_file(path: Path):
-    """parse_trace over the file at path read in blocks, then over the same
-    file's lines one by one: (records or TraceError text and line) each."""
+    """parse_trace over the file at path read in blocks, then parse_line over
+    the same file's lines one by one: (records or TraceError text and line)
+    each."""
     results = []
-    for source in (lambda fh: fh, list):
+    for parse in (parse_trace, _parse_lines):
         with open(path, encoding="utf-8") as fh:
             try:
-                results.append(parse_trace(source(fh)))
+                results.append(parse(fh))
             except TraceError as exc:
                 results.append((str(exc), exc.lineno))
     return results
@@ -198,31 +210,31 @@ def test_failed_block_match_is_linear(tmp_path):
 
 def test_parse_bad_hex_cites_line():
     with pytest.raises(TraceError) as exc:
-        parse_trace(["R 0x10\n", "W 0xZZ\n"])
+        parse_trace(io.StringIO("R 0x10\nW 0xZZ\n"))
     assert exc.value.lineno == 2
 
 
 def test_parse_unknown_opcode_is_error():
     with pytest.raises(TraceError):
-        parse_trace(["X 0x10\n"])
+        parse_trace(io.StringIO("X 0x10\n"))
 
 
 def test_parse_rejects_address_too_wide():
-    assert parse_trace(["R 0xffffffffffff\n"])[0][1] == (1 << 48) - 1
+    assert parse_trace(io.StringIO("R 0xffffffffffff\n"))[0][1] == (1 << 48) - 1
     with pytest.raises(TraceError, match=r"^line 2: bad address '0x1000000000000'$"):
-        parse_trace(["R 0x10\n", "R 0x1000000000000\n"])  # 13 hex digits
+        parse_trace(io.StringIO("R 0x10\nR 0x1000000000000\n"))  # 13 hex digits
 
 
 def test_parse_accepts_leading_zeros():
-    assert parse_trace(["R 0x00000000001040\n"])[0][1] == 0x1040
-    assert parse_trace(["W 0x000ffffffffffff\n"])[0][1] == (1 << 48) - 1
+    assert parse_trace(io.StringIO("R 0x00000000001040\n"))[0][1] == 0x1040
+    assert parse_trace(io.StringIO("W 0x000ffffffffffff\n"))[0][1] == (1 << 48) - 1
     with pytest.raises(TraceError, match=r"^line 1: bad address '0x0001000000000000'$"):
-        parse_trace(["R 0x0001000000000000\n"])  # 13 significant hex digits
+        parse_trace(io.StringIO("R 0x0001000000000000\n"))  # 13 significant hex digits
 
 
 def test_parse_rejects_missing_operand():
     with pytest.raises(TraceError):
-        parse_trace(["R\n"])
+        parse_trace(io.StringIO("R\n"))
 
 
 def test_empty_trace_zero_stats():
@@ -233,14 +245,14 @@ def test_empty_trace_zero_stats():
 
 
 def test_distinct_cold_loads_all_case_00():
-    records = parse_trace([f"R {hex(i * 64)}\n" for i in range(50)])
+    records = parse_trace(io.StringIO("".join(f"R {hex(i * 64)}\n" for i in range(50))))
     stats = run_trace(Simulator(SimConfig()), records)
     assert stats.case_counts["00"] == 50
     assert stats.l1d_misses == 50
 
 
 def test_load_twice_latency_table():
-    records = parse_trace(["R 0x1000\n", "R 0x1000\n"])
+    records = parse_trace(io.StringIO("R 0x1000\nR 0x1000\n"))
     stats = run_trace(Simulator(SimConfig()), records)
     assert stats.total_latency_cycles == 120 + 3
 
@@ -250,7 +262,7 @@ def test_stats_identities_hold():
     for i in range(2000):
         op = ("R", "W", "CS", "INV")[i % 4]
         lines.append("CS\n" if op == "CS" else f"{op} {hex((i * 37 % 500) * 64)}\n")
-    records = parse_trace(lines)
+    records = parse_trace(io.StringIO("".join(lines)))
     stats = run_trace(Simulator(SimConfig(seed=3)), records)
     assert stats.accesses == sum(stats.case_counts.values())
     assert stats.backup_hits == stats.case_counts["01"] + stats.case_counts["11"]
@@ -259,7 +271,8 @@ def test_stats_identities_hold():
 
 
 def test_replay_determinism():
-    records = parse_trace([f"R {hex((i * 7 % 300) * 64)}\n" for i in range(3000)])
+    lines = [f"R {hex((i * 7 % 300) * 64)}\n" for i in range(3000)]
+    records = parse_trace(io.StringIO("".join(lines)))
 
     def run():
         sim = Simulator(SimConfig(seed=8))
@@ -271,7 +284,7 @@ def test_replay_determinism():
 def test_fitting_working_set_equal_misses_in_both_modes():
     # 100 distinct lines, re-walked: fits a 16KB L1D easily
     lines = [f"R {hex(i * 64)}\n" for i in range(100)] * 5
-    records = parse_trace(lines)
+    records = parse_trace(io.StringIO("".join(lines)))
     backup_cfg = SimConfig(seed=1)
     base_cfg = SimConfig(mode="baseline", l1d=backup_cfg.l1d, seed=1)
     s1 = run_trace(Simulator(backup_cfg), records)
