@@ -14,7 +14,7 @@ DEFAULT_SEED = 0xB4C4E
 MODE_BASELINE = "baseline"
 MODE_BACKUP = "backup"
 
-# Record kinds: a record is (kind, address), with address None for a context switch.
+# Record kinds: a record is (kind, address); a context switch ignores its address.
 KIND_LOAD = "load"
 KIND_STORE = "store"
 KIND_CTXSWITCH = "ctxswitch"

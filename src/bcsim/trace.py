@@ -2,7 +2,7 @@
 
 import re
 from itertools import repeat
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE, SimStats, Simulator
 
@@ -12,7 +12,7 @@ from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE, S
 _ADDR = r"0x(?:0*[1-9a-fA-F][0-9a-fA-F]{0,11}|0+)"
 _HEXADDR = re.compile(_ADDR + r"\Z")
 _OPCODES = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
-_CTXSWITCH = (KIND_CTXSWITCH, None)
+_CTXSWITCH = (KIND_CTXSWITCH, 0)
 # Whole lines in canonical form only: an access as `OP 0xHEX` with one
 # space, `CS`, or an empty line, each ending in "\n". Such a block holds
 # no comment, and no `S` outside a `CS` line.
@@ -20,8 +20,8 @@ _CANONICAL = re.compile(rf"(?:(?:R|W|INV) {_ADDR}\n|CS\n|\n)*")
 # Characters read at a time; a block is then completed to a whole line.
 BLOCK_CHARS = 4096
 
-# One parsed record: (kind, address), with address None for a context switch.
-Record = tuple[str, Optional[int]]
+# One parsed record: (kind, address), with address 0 for a context switch.
+Record = tuple[str, int]
 
 
 class TraceError(Exception):
@@ -55,17 +55,30 @@ def parse_line(lineno: int, line: str) -> Optional[Record]:
     raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
 
 
-def parse_trace(source: TextIO) -> list[Record]:
-    """Parse a text stream of trace lines into records, skipping comments
+class Trace:
+    """Records in two columns, kinds and addresses; each pass is fresh."""
+
+    def __init__(self, kinds: list[str], addrs: list[int]):
+        self.kinds, self.addrs = kinds, addrs
+
+    def __iter__(self) -> Iterator[Record]:
+        return zip(self.kinds, self.addrs)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+
+def parse_trace(source: TextIO) -> Trace:
+    """Parse a text stream of trace lines into a Trace, skipping comments
     and blanks.
 
     The stream is read in blocks of about BLOCK_CHARS characters, each
-    completed to a whole line. A canonical block becomes records in C
+    completed to a whole line. A canonical block fills both columns in C
     calls, one run of lines between `CS` lines at a time. Any other block
     goes line by line through parse_line, which owns the grammar and its
     errors.
     """
-    records: list[Record] = []
+    kinds, addrs = [], []
     lineno = 1
     while block := source.read(BLOCK_CHARS):
         if block[-1] != "\n":
@@ -73,17 +86,18 @@ def parse_trace(source: TextIO) -> list[Record]:
         if _CANONICAL.fullmatch(block):
             for i, seg in enumerate(block.split("CS\n")):
                 if i:
-                    records.append(_CTXSWITCH)
+                    kinds.append(KIND_CTXSWITCH)
+                    addrs.append(0)
                 toks = seg.split()
-                records.extend(zip(map(_OPCODES.__getitem__, toks[::2]),
-                                   map(int, toks[1::2], repeat(16))))
+                kinds.extend(map(_OPCODES.__getitem__, toks[::2]))
+                addrs.extend(map(int, toks[1::2], repeat(16)))
         else:
             for n, line in enumerate(block.split("\n"), lineno):
-                rec = parse_line(n, line)
-                if rec is not None:
-                    records.append(rec)
+                if rec := parse_line(n, line):
+                    kinds.append(rec[0])
+                    addrs.append(rec[1])
         lineno += block.count("\n")
-    return records
+    return Trace(kinds, addrs)
 
 
 def run_trace(sim: Simulator, records: Iterable[Record]) -> SimStats:

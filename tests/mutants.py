@@ -169,7 +169,11 @@ MUTANTS = [
            "(?:R|W|INV) 0x[0-9a-fA-F]+",
            FILE_BLOCKS),
     Mutant("bulk-cs-record-dropped", "trace.py",
-           "records.append(_CTXSWITCH)",
+           "kinds.append(KIND_CTXSWITCH)\n                    addrs.append(0)",
+           "pass",
+           FILE_BLOCKS),
+    Mutant("cs-address-not-appended", "trace.py",
+           "addrs.append(0)",
            "pass",
            FILE_BLOCKS),
     Mutant("fallback-lineno-off-by-one", "trace.py",

@@ -1,5 +1,6 @@
 """Python function calls and bytecodes per simulated access, and per line of
-a parsed trace file, stay within a budget.
+a parsed trace file, stay within a budget, as do the bytes a parse holds per
+line.
 
 Host timing on a small, shared machine cannot resolve a few percent, but
 the number of Python-level calls and of bytecodes the simulator executes
@@ -17,6 +18,7 @@ import functools
 import random
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,9 +131,27 @@ def parse_costs(path: Path) -> tuple[float, float]:
     return calls / lines, opcodes / lines
 
 
+def parse_bytes(path: Path) -> float:
+    """tracemalloc peak of parse_trace over the trace file at path, in bytes
+    per line: the records it keeps plus its transient block buffers."""
+    with open(path) as fh:
+        tracemalloc.start()
+        try:
+            records = parse_trace(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / (len(records) + 1)  # the comment line
+
+
 @pytest.fixture(scope="module")
-def parse_figures(tmp_path_factory):
-    return parse_costs(write_trace_file(tmp_path_factory.mktemp("parse") / "bench.trace"))
+def bench_trace(tmp_path_factory):
+    return write_trace_file(tmp_path_factory.mktemp("parse") / "bench.trace")
+
+
+@pytest.fixture(scope="module")
+def parse_figures(bench_trace):
+    return parse_costs(bench_trace)
 
 
 # Each ceiling sits a small margin above the figure measured on Python
@@ -174,7 +194,7 @@ def test_aes_attack_opcodes_per_access():
 
 # Per line of a parsed trace file, read in blocks of about 4 KB: a canonical
 # block costs a few Python calls in all, so the block of the comment line,
-# parsed line by line, makes most of them (0.0064 calls and 0.55 opcodes per
+# parsed line by line, makes most of them (0.0064 calls and 0.59 opcodes per
 # line on 3.11.7; 1.0016 and 61.0 when every line went through parse_line).
 PARSE_CALLS, PARSE_OPCODES = 0.02, 1.5
 
@@ -188,6 +208,16 @@ def test_parse_opcodes_per_line(parse_figures):
     assert parse_figures[1] <= PARSE_OPCODES
 
 
+# A parsed trace is two columns, kinds and addresses: per line, 8 bytes for
+# each list slot and 32 for the address's int, 48.0 bytes kept and 49.5 at
+# the peak on 3.11.7 (96.2 at the peak when each record was a tuple).
+PARSE_BYTES = 56
+
+
+def test_parse_bytes_per_line(bench_trace):
+    assert parse_bytes(bench_trace) <= PARSE_BYTES
+
+
 if __name__ == "__main__":
     # Prints the figures the tests bound, e.g. for a CI log:
     #   PYTHONPATH=src python tests/test_call_budget.py
@@ -197,5 +227,7 @@ if __name__ == "__main__":
                                      for seed in AES_SEEDS)):
         print(f"{name:20s} {calls:.4f} calls, {opcodes:.2f} opcodes per access")
     with tempfile.TemporaryDirectory() as tmp:
-        calls, opcodes = parse_costs(write_trace_file(Path(tmp) / "bench.trace"))
+        path = write_trace_file(Path(tmp) / "bench.trace")
+        (calls, opcodes), peak = parse_costs(path), parse_bytes(path)
     print(f"{'parse_trace file':20s} {calls:.4f} calls, {opcodes:.2f} opcodes per line")
+    print(f"{'parse_trace file':20s} {peak:.1f} bytes per line at the tracemalloc peak")

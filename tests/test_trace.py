@@ -27,11 +27,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_basic_records():
-    records = parse_trace(io.StringIO("R 0x1040\nW 0x2000\nINV 0xff\nCS\n"))
+    records = list(parse_trace(io.StringIO("R 0x1040\nW 0x2000\nINV 0xff\nCS\n")))
     assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
                                              KIND_CTXSWITCH]
     assert records[0][1] == 0x1040
-    assert records[3][1] is None
+    assert records[3][1] == 0
 
 
 def test_parse_skips_comments_and_blanks():
@@ -40,7 +40,7 @@ def test_parse_skips_comments_and_blanks():
 
 
 LOAD_1040 = (KIND_LOAD, 0x1040)
-CTXSWITCH = (KIND_CTXSWITCH, None)
+CTXSWITCH = (KIND_CTXSWITCH, 0)
 
 
 @pytest.mark.parametrize("line, expected", [
@@ -67,7 +67,7 @@ def test_parse_tolerates_whitespace_and_comments(line, expected):
 def test_readme_trace_example_parses():
     text = README.read_text(encoding="utf-8")
     block = re.search(r"### Trace format.*?```\n(.*?)```", text, re.S).group(1)
-    records = parse_trace(io.StringIO(block))
+    records = list(parse_trace(io.StringIO(block)))
     assert [kind for kind, _ in records] == [KIND_LOAD, KIND_STORE, KIND_INVALIDATE,
                                              KIND_CTXSWITCH]
     assert records[0][1] == 0x7F001040
@@ -80,7 +80,7 @@ def _reference_parse_line(lineno, line):
     if not fields:
         return None
     if fields == ["CS"]:
-        return (KIND_CTXSWITCH, None)
+        return (KIND_CTXSWITCH, 0)
     kinds = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
     if len(fields) != 2 or fields[0] not in kinds:
         raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
@@ -155,7 +155,7 @@ def _parse_file(path: Path):
     for parse in (parse_trace, _parse_lines):
         with open(path, encoding="utf-8") as fh:
             try:
-                results.append(parse(fh))
+                results.append(list(parse(fh)))
             except TraceError as exc:
                 results.append((str(exc), exc.lineno))
     return results
@@ -204,7 +204,7 @@ def test_failed_block_match_is_linear(tmp_path):
     path.write_text("R 0x0001\n" * 13 + "# end\n")
     start = time.perf_counter()
     with open(path) as fh:
-        assert parse_trace(fh) == [(KIND_LOAD, 1)] * 13
+        assert list(parse_trace(fh)) == [(KIND_LOAD, 1)] * 13
     assert time.perf_counter() - start < 1.0
 
 
@@ -220,14 +220,14 @@ def test_parse_unknown_opcode_is_error():
 
 
 def test_parse_rejects_address_too_wide():
-    assert parse_trace(io.StringIO("R 0xffffffffffff\n"))[0][1] == (1 << 48) - 1
+    assert list(parse_trace(io.StringIO("R 0xffffffffffff\n"))) == [(KIND_LOAD, (1 << 48) - 1)]
     with pytest.raises(TraceError, match=r"^line 2: bad address '0x1000000000000'$"):
         parse_trace(io.StringIO("R 0x10\nR 0x1000000000000\n"))  # 13 hex digits
 
 
 def test_parse_accepts_leading_zeros():
-    assert parse_trace(io.StringIO("R 0x00000000001040\n"))[0][1] == 0x1040
-    assert parse_trace(io.StringIO("W 0x000ffffffffffff\n"))[0][1] == (1 << 48) - 1
+    assert list(parse_trace(io.StringIO("R 0x00000000001040\n"))) == [(KIND_LOAD, 0x1040)]
+    assert list(parse_trace(io.StringIO("W 0x000ffffffffffff\n"))) == [(KIND_STORE, (1 << 48) - 1)]
     with pytest.raises(TraceError, match=r"^line 1: bad address '0x0001000000000000'$"):
         parse_trace(io.StringIO("R 0x0001000000000000\n"))  # 13 significant hex digits
 
@@ -273,6 +273,25 @@ def test_stats_identities_hold():
 def test_replay_determinism():
     lines = [f"R {hex((i * 7 % 300) * 64)}\n" for i in range(3000)]
     records = parse_trace(io.StringIO("".join(lines)))
+
+    def run():
+        sim = Simulator(SimConfig(seed=8))
+        return run_trace(sim, records).as_dict(), sim.state_digest()
+
+    assert run() == run()
+
+
+def test_parsed_trace_replays():
+    """A parsed trace is iterated afresh each time, as sweep's runs over one
+    trace need: equal records and length on each pass, and equal stats and
+    digests from two simulators."""
+    lines = [f"{'RW'[i % 2]} {hex((i * 37 % 400) * 64)}\n" for i in range(3000)]
+    lines[::97] = ["CS\n"] * len(lines[::97])
+    lines[5::211] = ["INV 0x40  # drop\n"] * len(lines[5::211])
+    records = parse_trace(io.StringIO("".join(lines)))
+    first, second = list(records), list(records)
+    assert first == second and len(first) == len(records) == 3000
+    assert (KIND_CTXSWITCH, 0) in first and (KIND_INVALIDATE, 0x40) in first
 
     def run():
         sim = Simulator(SimConfig(seed=8))
