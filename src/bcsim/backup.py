@@ -67,7 +67,7 @@ class BackupCache:
 
     def lookup(self, addr: int, store: bool = False) -> bool:
         """Probe a line-aligned address; a hit marks the line re-used, a store hit also dirty.
-        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP item 4)."""
+        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP item 3)."""
         slot = self._where.get(addr)
         if slot is None:
             return False
@@ -104,7 +104,7 @@ class BackupCache:
         it is already resident; returns the displaced (address, dirty) pair, if
         any. select_victim draws the slot and _empty moves it to used0.
         Simulator.run inlines it; kept for perfbench/tracer.py, which patches
-        it (ROADMAP items 1/4)."""
+        it (ROADMAP items 1/3)."""
         if addr in self._where:
             return None
         slot = self.select_victim()

@@ -6,7 +6,6 @@ run manifest recording the exact configuration.
 """
 
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -18,7 +17,6 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import ModelError, monte_carlo_single_set, p_avg
 from .attacks import run_aes_attack, run_single_set_attack
 from .core import CacheError
 from .simulator import (
@@ -133,6 +131,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _csv_text(rows) -> str:
+    import csv
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -287,16 +286,21 @@ def _kb_ranges(ctx, param, texts):
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
     """Closed-form attacker success probabilities with a Monte Carlo check."""
+    from .analysis import ModelError, monte_carlo_single_set, p_avg
+
     rows = [["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]]
     for r, lo_kb, hi_kb in ranges:
         b_min = lo_kb * 1024 // line_bytes
         b_max = hi_kb * 1024 // line_bytes
-        closed = f"{p_avg(b_min, b_max):.6f}"
-        if trials:
-            mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
-            rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(trials)])
-        else:
-            rows.append([r, closed, "", "", "0"])
+        try:
+            closed = f"{p_avg(b_min, b_max):.6f}"
+            if trials:
+                mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
+                rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(trials)])
+            else:
+                rows.append([r, closed, "", "", "0"])
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from exc
     rendered = _csv_text(rows)
     if fmt == "text":
         for row in rows:
@@ -351,7 +355,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except (ConfigError, ModelError) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
     except (TraceError, InputDataError) as exc:

@@ -1,6 +1,5 @@
 """Memory hierarchy controller: L1D + backup cache + L2, latency accounting, resizing."""
 
-import hashlib
 import random
 from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, field
@@ -386,6 +385,7 @@ class Simulator:
 
     def state_digest(self) -> str:
         """SHA-256 over all tag arrays, the backup size and the countdown (hex string)."""
+        import hashlib  # imported here: only sim hashes, and OpenSSL costs ~4 MB of RSS
         parts = [self.config.mode, repr(self.l1d.state_tuple()), repr(self.l2.state_tuple())]
         if self.backup is not None:
             parts.append(repr(self.backup.state_tuple()))

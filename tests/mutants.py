@@ -16,8 +16,9 @@ only if every mutant was killed.
 The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
 cold paths (resize, context switch) call, of the attacks' prime, victim
-and probe steps, of the trace file's block parse and of cli.dump_config:
-a change to that text must update this table, not drop a row.
+and probe steps, of the trace file's block parse, of cli.dump_config and
+of the module-level imports of cli and simulator: a change to that text
+must update this table, not drop a row.
 """
 
 import os
@@ -40,6 +41,8 @@ FILE_BLOCKS = ("tests/test_trace.py::test_file_blocks_bulk_and_per_line",
                "tests/test_trace.py::test_file_blocks_parse_as_lines")
 CONFIG_ROUND_TRIP = ("tests/test_cli.py::test_dump_config_loads_back",
                      "tests/test_cli.py::test_manifest_config_reruns_the_output")
+IMPORT_SETS = ("tests/test_cli.py::test_importing_cli_loads_no_command_only_module",
+               "tests/test_cli.py::test_only_numeric_commands_import_numpy")
 
 
 class Mutant(NamedTuple):
@@ -192,6 +195,15 @@ MUTANTS = [
            "if value not in (None, {})",
            "if value != {}",
            CONFIG_ROUND_TRIP),
+    Mutant("hashlib-at-module-level", "simulator.py",
+           "import random\n",
+           "import hashlib\nimport random\n",
+           IMPORT_SETS),
+    Mutant("analysis-at-module-level", "cli.py",
+           "from .attacks import run_aes_attack, run_single_set_attack\n",
+           "from .analysis import ModelError, monte_carlo_single_set, p_avg\n"
+           "from .attacks import run_aes_attack, run_single_set_attack\n",
+           IMPORT_SETS),
 ]
 
 

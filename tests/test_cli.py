@@ -179,7 +179,9 @@ if sys.argv[1:2] == ["--no-numpy"]:
 from bcsim.cli import main
 rc = main(sys.argv[1:])
 print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules,
-                  "numpy_imported": sys.modules.get("numpy") is not None}))
+                  "numpy_imported": sys.modules.get("numpy") is not None,
+                  "openssl_imported": "_hashlib" in sys.modules,
+                  "analysis_imported": "bcsim.analysis" in sys.modules}))
 """
 
 
@@ -207,14 +209,16 @@ def _expected_sim_text(config: SimConfig, trace_path: Path) -> str:
 def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
     out = tmp_path / "plain.txt"
     report = _sim_in_fresh_process(["sim", "--trace", str(trace_file), "--out", str(out)])
-    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False}
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False,
+                      "openssl_imported": True, "analysis_imported": False}
     assert out.read_text() == _expected_sim_text(SimConfig(), trace_file)
     # With --config the file is still read: its baseline mode shows in the output.
     cfg, out = tmp_path / "c.yaml", tmp_path / "config.txt"
     cfg.write_text("mode: baseline\n")
     report = _sim_in_fresh_process(["sim", "--config", str(cfg), "--trace", str(trace_file),
                                     "--out", str(out)])
-    assert report == {"rc": EXIT_OK, "yaml_imported": True, "numpy_imported": False}
+    assert report == {"rc": EXIT_OK, "yaml_imported": True, "numpy_imported": False,
+                      "openssl_imported": True, "analysis_imported": False}
     assert out.read_text() == _expected_sim_text(SimConfig(mode=MODE_BASELINE), trace_file)
     assert out.read_text() != (tmp_path / "plain.txt").read_text()
 
@@ -227,9 +231,26 @@ def test_sim_imports_yaml_only_for_a_config_file(tmp_path, trace_file):
     (["attack", "single_set", "--bits", "8", "--filler-kb", "4", "--out", "OUT"], False),
 ], ids=["sweep", "analyze-closed-form", "analyze-monte-carlo", "attack-aes", "attack-single-set"])
 def test_only_numeric_commands_import_numpy(tmp_path, trace_file, argv, numpy_imported):
+    """Only analyze loads bcsim.analysis. None of these commands hashes, so
+    OpenSSL's _hashlib comes in only with numpy, which imports it itself."""
     subs = {"TRACE": str(trace_file), "OUT": str(tmp_path / "o.csv")}
     report = _sim_in_fresh_process([subs.get(a, a) for a in argv])
-    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": numpy_imported}
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": numpy_imported,
+                      "openssl_imported": numpy_imported,
+                      "analysis_imported": argv[0] == "analyze"}
+
+
+_IMPORT_CLI_IN_FRESH_PROCESS = """
+import json, sys
+import bcsim.cli
+print(json.dumps({name: name in sys.modules
+                  for name in ("_hashlib", "bcsim.analysis", "numpy", "yaml")}))
+"""
+
+
+def test_importing_cli_loads_no_command_only_module():
+    report = _in_fresh_process(_IMPORT_CLI_IN_FRESH_PROCESS, [])
+    assert report == {"_hashlib": False, "bcsim.analysis": False, "numpy": False, "yaml": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -243,7 +264,8 @@ def test_commands_run_without_numpy(tmp_path, trace_file, argv):
     here, fresh = tmp_path / "here.out", tmp_path / "fresh.out"
     assert main([*argv, "--out", str(here)]) == EXIT_OK
     report = _sim_in_fresh_process([*argv, "--out", str(fresh)], no_numpy=True)
-    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False}
+    assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False,
+                      "openssl_imported": argv[0] == "sim", "analysis_imported": False}
     assert fresh.read_bytes() == here.read_bytes()
 
 
