@@ -5,16 +5,14 @@ are byte-identical across reruns and each output file gets a companion
 run manifest recording the exact configuration.
 """
 
+import argparse
 import contextlib
-import functools
 import io
 import json
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .attacks import run_aes_attack, run_single_set_attack
@@ -137,17 +135,18 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _write_with_manifest(out_path: Path, text: str, command: str, config: SimConfig,
-                         started: float) -> None:
-    """Write a data file and its manifest; a failed manifest write removes the data file.
+def _write_with_manifest(text: str, command: str, config: SimConfig, started: float,
+                         args: argparse.Namespace) -> None:
+    """Write the --out data file and its manifest; a failed manifest write removes the data file.
 
     The manifest records the running command's parameters as given, under
     their Python names: every option, input path and argument.
     """
+    out_path = Path(args.out_path)
     _write(out_path, text)
     manifest = {
         "command": command,
-        "options": click.get_current_context().params,
+        "options": {name: value for name, value in vars(args).items() if name != "command"},
         "tool_version": __version__,
         "config": dump_config(config),
         "outputs": [str(out_path)],
@@ -160,6 +159,7 @@ def _write_with_manifest(out_path: Path, text: str, command: str, config: SimCon
         with contextlib.suppress(OSError):  # the manifest's error is the one reported
             out_path.unlink()
         raise
+    print(f"wrote {out_path}")
 
 
 def _read_trace(path: str):
@@ -170,202 +170,202 @@ def _read_trace(path: str):
         raise InputDataError(f"cannot read trace {path}: {exc}") from exc
 
 
-def _require(ok, message: str):
-    """A click callback making a value that fails ok a usage error, before any work."""
-    def check(ctx, param, value):
-        if value is not None and not ok(value):
-            raise click.BadParameter(message.format(value))
-        return value
-    return check
+def _checked(convert, ok, message: str):
+    """An argparse type: convert(text) if it passes ok, else a usage error before any work."""
+    def parse(text):
+        with contextlib.suppress(ValueError):
+            value = convert(text)
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(message.format(text))
+    return parse
 
 
-# Every command's --out option, one check of its path for all of them.
-_out_option = functools.partial(
-    click.option, "--out", "out_path", type=click.Path(dir_okay=False), required=True,
-    callback=_require(lambda v: v and Path(v).parent.is_dir(),
-                      "{!r} is not a file path in an existing directory"))
+def _int_in(low: int, high: float = float("inf")):
+    """An argparse type for an integer in [low, high]."""
+    return _checked(int, lambda v: low <= v <= high, f"{{!r}} is not an integer in [{low}, {high}]")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def cli():
-    """Cache-hierarchy simulator with an eviction-hiding backup cache."""
+def _add_out(parser, help: str, required: bool = True) -> None:
+    """Every command's --out option, one check of its path for all of them."""
+    parser.add_argument("--out", dest="out_path", required=required, help=help, type=_checked(
+        str, lambda v: v and Path(v).parent.is_dir() and not Path(v).is_dir(),
+        "{!r} is not a file path in an existing directory"))
 
 
-@cli.command("sim")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="YAML config file.")
-@click.option("--trace", "trace_path", type=click.Path(), required=True, help="Trace file.")
-@_out_option(help="Stats output file.")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
-@click.option("--format", "fmt", type=click.Choice(["text", "structured"]), default="text")
-def cmd_sim(config_path, trace_path, out_path, seed, fmt):
+def _thresholds(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
+def cmd_sim(args):
     """Run a trace through the simulator and write aggregate statistics."""
     started = time.time()
-    config = load_config(config_path, seed)
-    records = _read_trace(trace_path)
+    config = load_config(args.config_path, args.seed)
+    records = _read_trace(args.trace_path)
     sim = Simulator(config)
     stats = run_trace(sim, records)
-    out = Path(out_path)
-    if fmt == "structured":
+    if args.fmt == "structured":
         body = json.dumps({"stats": stats.as_dict(), "state_digest": sim.state_digest()},
                           indent=2, sort_keys=True) + "\n"
     else:
         body = stats.as_text() + f"state_digest={sim.state_digest()}\n"
-    _write_with_manifest(out, body, "sim", config, started)
-    click.echo(f"wrote {out}")
+    _write_with_manifest(body, "sim", config, started, args)
 
 
-@cli.command("attack")
-@click.argument("scenario", type=click.Choice(["single_set", "aes"]))
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@_out_option(help="CSV output file.")
-@click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option("--bits", type=click.IntRange(min=2), default=100,
-              help="single_set: number of secret bits.")
-@click.option("--filler-kb", type=click.IntRange(min=0), default=0,
-              help="single_set: backup filler size in KB.")
-@click.option("--samples", type=click.IntRange(min=0), default=1000,
-              help="aes: number of samples.")
-@click.option("--key", "key_hex", default="000102030405060708090a0b0c0d0e0f",
-              help="aes: 16-byte key as hex.")
-def cmd_attack(scenario, config_path, out_path, seed, bits, filler_kb, samples, key_hex):
+def cmd_attack(args):
     """Run a Prime+Probe case study and write per-probe latencies as CSV."""
     started = time.time()
-    config = load_config(config_path, seed)
-    out = Path(out_path)
-    if scenario == "single_set":
-        secret = [0] * (bits // 2) + [1] * (bits - bits // 2)
-        result = run_single_set_attack(config, secret, filler_bytes=filler_kb * 1024)
+    config = load_config(args.config_path, args.seed)
+    if args.scenario == "single_set":
+        secret = [0] * (args.bits // 2) + [1] * (args.bits - args.bits // 2)
+        result = run_single_set_attack(config, secret, filler_bytes=args.filler_kb * 1024)
         text = _csv_text([["trial", "secret_bit", "probe_latency_cycles"],
                           *([i, bit, lat] for i, (bit, lat)
                             in enumerate(zip(secret, result.probe_latencies)))])
-        click.echo(f"accuracy={result.accuracy:.4f} degenerate={result.degenerate}")
+        print(f"accuracy={result.accuracy:.4f} degenerate={result.degenerate}")
     else:
-        try:
-            key = bytes.fromhex(key_hex)
-        except ValueError as exc:
-            raise click.UsageError(f"bad --key: {exc}") from exc
-        if len(key) != 16:
-            raise click.UsageError("--key must be 16 bytes of hex")
-        result = run_aes_attack(config, samples, key)
+        result = run_aes_attack(config, args.samples, bytes.fromhex(args.key_hex))
         rows = result.latencies.tolist()
         text = _csv_text([[f"set_{j}" for j in range(result.latencies.shape[1])], *rows])
         # Each column sum is an exact integer (below 2**53): a mean is one rounded division.
-        means = [sum(col) / samples for col in zip(*rows)]
-        spread = max(means) - min(means) if samples else 0.0
-        click.echo(f"per_set_mean_latency_spread={spread:.2f}")
-    _write_with_manifest(out, text, f"attack {scenario}", config, started)
-    click.echo(f"wrote {out}")
+        means = [sum(col) / args.samples for col in zip(*rows)]
+        spread = max(means) - min(means) if args.samples else 0.0
+        print(f"per_set_mean_latency_spread={spread:.2f}")
+    _write_with_manifest(text, f"attack {args.scenario}", config, started, args)
 
 
-def _kb_ranges(ctx, param, texts):
-    """Parse each --range as (text, MIN_KB, MAX_KB), a usage error before any work."""
-    ranges = []
-    for text in texts:
-        try:
-            lo, hi = map(int, text.split("-"))
-        except ValueError:
-            raise click.BadParameter(f"{text!r} is not MIN_KB-MAX_KB") from None
-        if lo > hi:
-            raise click.BadParameter(f"{text!r} has MIN_KB > MAX_KB")
-        ranges.append((text, lo, hi))
-    return ranges
+# One --range as (text, MIN_KB, MAX_KB).
+_kb_range = _checked(lambda text: (text, *map(int, text.split("-"))),
+                     lambda r: len(r) == 3 and r[1] <= r[2], "{!r} is not MIN_KB-MAX_KB")
 
 
-@cli.command("analyze")
-@click.option("--range", "ranges", multiple=True, default=("12-16", "8-16", "4-16"),
-              callback=_kb_ranges, help="Backup size range in KB, e.g. 12-16. Repeatable.")
-@click.option("--line-bytes", type=click.IntRange(min=1), default=64)
-@click.option("--p", "p_bias", type=float, default=0.5,
-              callback=_require(lambda p: 0 <= p <= 1, "{} is not in [0, 1]"),  # NaN fails too
-              help="Guess bias on ambiguous observations, in [0, 1].")
-@click.option("--trials", type=click.IntRange(min=0), default=10**6,
-              help="Monte Carlo trials; 0 for closed form only.")
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED)
-@_out_option(required=False, help="Optional CSV output file.")
-@click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
-def cmd_analyze(ranges, line_bytes, p_bias, trials, seed, out_path, fmt):
+def cmd_analyze(args):
     """Closed-form attacker success probabilities with a Monte Carlo check."""
     from .analysis import ModelError, monte_carlo_single_set, p_avg
 
     rows = [["range_kb", "p_avg", "monte_carlo", "stderr", "trials"]]
-    for r, lo_kb, hi_kb in ranges:
-        b_min = lo_kb * 1024 // line_bytes
-        b_max = hi_kb * 1024 // line_bytes
+    # A repeated --range appends to None, so the default ranges apply only without one.
+    for r, lo_kb, hi_kb in args.ranges or map(_kb_range, ("12-16", "8-16", "4-16")):
+        b_min = lo_kb * 1024 // args.line_bytes
+        b_max = hi_kb * 1024 // args.line_bytes
         try:
             closed = f"{p_avg(b_min, b_max):.6f}"
-            if trials:
-                mc = monte_carlo_single_set(b_min, b_max, p=p_bias, trials=trials, seed=seed)
-                rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(trials)])
+            if args.trials:
+                mc = monte_carlo_single_set(b_min, b_max, p=args.p_bias, trials=args.trials,
+                                            seed=args.seed)
+                rows.append([r, closed, f"{mc.estimate:.6f}", f"{mc.stderr:.6f}", str(args.trials)])
             else:
                 rows.append([r, closed, "", "", "0"])
         except ModelError as exc:
             raise ConfigError(str(exc)) from exc
     rendered = _csv_text(rows)
-    if fmt == "text":
+    if args.fmt == "text":
         for row in rows:
-            click.echo("  ".join(f"{c or '-':<12}" for c in row))
+            print("  ".join(f"{c or '-':<12}" for c in row))
     else:
-        click.echo(rendered, nl=False)
-    if out_path:
-        _write(Path(out_path), rendered)
+        print(rendered, end="")
+    if args.out_path:
+        _write(Path(args.out_path), rendered)
 
 
-@cli.command("sweep")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--trace", "trace_path", type=click.Path(), required=True)
-@_out_option(help="CSV output file.")
-@click.option("--thresholds", default="10,50,100,200,500,1000",
-              help="Comma-separated fixed resize thresholds.")
-@click.option("--seed", type=click.IntRange(min=0), default=None)
-def cmd_sweep(config_path, trace_path, out_path, thresholds, seed):
+def cmd_sweep(args):
     """Replay one trace per fixed resize threshold plus once in dynamic mode."""
     started = time.time()
-    base = load_config(config_path, seed)
+    base = load_config(args.config_path, args.seed)
     if base.mode != MODE_BACKUP:
         raise ConfigError("sweep requires a backup-mode config")
-    try:
-        values = [int(t) for t in thresholds.split(",") if t.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad --thresholds: {exc}") from exc
-    if any(t < 1 for t in values):
-        raise click.UsageError("thresholds must be positive")
-    records = _read_trace(trace_path)
+    records = _read_trace(args.trace_path)
     rows = []
-    for threshold in values:
+    for threshold in _thresholds(args.thresholds):
         config = replace(base, fixed_threshold=threshold)
         rows.append((str(threshold), run_trace(Simulator(config), records)))
     dyn = replace(base, fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
-    out = Path(out_path)
     text = _csv_text([["threshold", "resize_count", "avg_access_latency", "l1d_misses",
                        "l2_misses"],
                       *([label, stats.resizes, f"{stats.avg_access_latency:.6f}",
                          stats.l1d_misses, stats.l2_misses] for label, stats in rows)])
-    _write_with_manifest(out, text, "sweep", base, started)
-    click.echo(f"wrote {out}")
+    _write_with_manifest(text, "sweep", base, started, args)
+
+
+_COMMANDS = {"sim": cmd_sim, "attack": cmd_attack, "analyze": cmd_analyze, "sweep": cmd_sweep}
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line. Each option's dest is the name its command reads
+    and the manifest records; the maxima bound what a run can allocate."""
+    parser = argparse.ArgumentParser(prog="bcsim", allow_abbrev=False, description=(
+        "Cache-hierarchy simulator with an eviction-hiding backup cache."))
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    sim, attack, analyze, sweep = (
+        subparsers.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        for name, fn in _COMMANDS.items())
+    sim.add_argument("--config", dest="config_path", help="YAML config file.")
+    sim.add_argument("--trace", dest="trace_path", required=True, help="Trace file.")
+    _add_out(sim, "Stats output file.")
+    sim.add_argument("--seed", type=_int_in(0), help="Override the config seed.")
+    sim.add_argument("--format", dest="fmt", choices=["text", "structured"], default="text")
+
+    attack.add_argument("scenario", choices=["single_set", "aes"])
+    attack.add_argument("--config", dest="config_path")
+    _add_out(attack, "CSV output file.")
+    attack.add_argument("--seed", type=_int_in(0))
+    attack.add_argument("--bits", type=_int_in(2, 1_000_000), default=100,
+                        help="single_set: number of secret bits.")
+    attack.add_argument("--filler-kb", type=_int_in(0, 65_536), default=0,
+                        help="single_set: backup filler size in KB.")
+    attack.add_argument("--samples", type=_int_in(0, 100_000), default=1000,
+                        help="aes: number of samples.")
+    # The check keeps the text, which the manifest records as given.
+    attack.add_argument("--key", dest="key_hex", default="000102030405060708090a0b0c0d0e0f",
+                        type=_checked(str, lambda v: len(bytes.fromhex(v)) == 16,
+                                      "{!r} is not 16 bytes of hex"),
+                        help="aes: 16-byte key as hex.")
+
+    analyze.add_argument("--range", dest="ranges", action="append", type=_kb_range,
+                         help="Backup size range in KB, e.g. 12-16. Repeatable.")
+    analyze.add_argument("--line-bytes", type=_int_in(1), default=64)
+    analyze.add_argument("--p", dest="p_bias", default=0.5,
+                         type=_checked(float, lambda p: 0 <= p <= 1,  # NaN fails too
+                                       "{!r} is not in [0, 1]"),
+                         help="Guess bias on ambiguous observations, in [0, 1].")
+    analyze.add_argument("--trials", type=_int_in(0, 10**7), default=10**6,
+                         help="Monte Carlo trials; 0 for closed form only.")
+    analyze.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
+    _add_out(analyze, "Optional CSV output file.", required=False)
+    analyze.add_argument("--format", dest="fmt", choices=["text", "csv"], default="text")
+
+    sweep.add_argument("--config", dest="config_path")
+    sweep.add_argument("--trace", dest="trace_path", required=True)
+    _add_out(sweep, "CSV output file.")
+    sweep.add_argument("--thresholds", default="10,50,100,200,500,1000",
+                       type=_checked(str, lambda v: min(ts := _thresholds(v), default=1) > 0
+                                     and len(ts) <= 64, "{!r} is not up to 64 positive integers"),
+                       help="Comma-separated fixed resize thresholds.")
+    sweep.add_argument("--seed", type=_int_in(0))
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    try:
+        _COMMANDS[args.command](args)
         return EXIT_OK
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
-        return EXIT_USAGE
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TraceError, InputDataError) as exc:
-        click.echo(f"input error: {exc}", err=True)
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OutputError as exc:
-        click.echo(f"output error: {exc}", err=True)
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CacheError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

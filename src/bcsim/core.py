@@ -5,6 +5,7 @@ from typing import Optional
 
 ADDR_BITS = 48
 ADDR_LIMIT = 1 << ADDR_BITS
+MAX_LINES = 1 << 22  # per cache level; the paper's largest, the L2, holds 16k lines
 
 
 class CacheError(Exception):
@@ -39,6 +40,9 @@ class CacheGeometry:
             raise GeometryError(f"num_sets must be a power of two, got {self.num_sets}")
         if self.ways < 1:
             raise GeometryError(f"ways must be positive, got {self.ways}")
+        if self.num_sets * self.ways > MAX_LINES:
+            raise GeometryError(f"num_sets * ways is capped at {MAX_LINES} lines, "
+                                f"got {self.num_sets * self.ways}")
         if self.hit_cycles < 1:
             raise GeometryError(f"hit_cycles must be positive, got {self.hit_cycles}")
         if self.offset_bits + self.index_bits > ADDR_BITS:

@@ -9,6 +9,7 @@ from .backup import BackupCache
 from .core import ADDR_BITS, CacheError, CacheGeometry, SetAssociativeCache, check_addr
 
 DEFAULT_SEED = 0xB4C4E
+MAX_BACKUP_LINES = 1 << 16  # the paper's backup caches hold at most 256 lines
 
 MODE_BASELINE = "baseline"
 MODE_BACKUP = "backup"
@@ -59,6 +60,9 @@ class SimConfig:
                 raise ConfigError(
                     f"need 1 <= backup_min <= backup_max, "
                     f"got {self.backup_min}/{self.backup_max}")
+            if self.backup_max > MAX_BACKUP_LINES:
+                raise ConfigError(f"backup_max is capped at {MAX_BACKUP_LINES} lines, "
+                                  f"got {self.backup_max}")
             if self.fixed_threshold is not None and self.fixed_threshold < 1:
                 raise ConfigError("fixed_threshold must be positive")
 

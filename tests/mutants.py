@@ -16,9 +16,9 @@ only if every mutant was killed.
 The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
 cold paths (resize, context switch) call, of the attacks' prime, victim
-and probe steps, of the trace file's block parse, of cli.dump_config and
-of the module-level imports of cli and simulator: a change to that text
-must update this table, not drop a row.
+and probe steps, of the trace file's block parse, of cli.dump_config,
+of the module-level imports of cli and simulator and of the cache size
+cap: a change to that text must update this table, not drop a row.
 """
 
 import os
@@ -43,6 +43,8 @@ CONFIG_ROUND_TRIP = ("tests/test_cli.py::test_dump_config_loads_back",
                      "tests/test_cli.py::test_manifest_config_reruns_the_output")
 IMPORT_SETS = ("tests/test_cli.py::test_importing_cli_loads_no_command_only_module",
                "tests/test_cli.py::test_only_numeric_commands_import_numpy")
+STDLIB_ONLY = "tests/test_cli.py::test_commands_run_without_numpy"
+SIZE_CAPS = "tests/test_cli.py::test_oversized_request_exits_naming_its_cap"
 
 
 class Mutant(NamedTuple):
@@ -204,6 +206,14 @@ MUTANTS = [
            "from .analysis import ModelError, monte_carlo_single_set, p_avg\n"
            "from .attacks import run_aes_attack, run_single_set_attack\n",
            IMPORT_SETS),
+    Mutant("click-at-module-level", "cli.py",
+           "import argparse\n",
+           "import argparse\nimport click\n",
+           (STDLIB_ONLY,)),
+    Mutant("geometry-line-cap-dropped", "core.py",
+           "if self.num_sets * self.ways > MAX_LINES:",
+           "if False:",
+           (SIZE_CAPS,)),
 ]
 
 

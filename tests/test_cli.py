@@ -173,9 +173,6 @@ def test_sim_rerun_byte_identical(tmp_path, trace_file):
 
 _SIM_IN_FRESH_PROCESS = """
 import json, sys
-if sys.argv[1:2] == ["--no-numpy"]:
-    sys.modules["numpy"] = None  # numpy unimportable: `import numpy` raises ImportError
-    del sys.argv[1]
 from bcsim.cli import main
 rc = main(sys.argv[1:])
 print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules,
@@ -185,18 +182,23 @@ print(json.dumps({"rc": rc, "yaml_imported": "yaml" in sys.modules,
 """
 
 
-def _in_fresh_process(script: str, argv: list[str]) -> dict:
-    """Run script with argv in a new interpreter; its last stdout line is JSON."""
+def _in_fresh_process(script: str, argv: list[str], stdlib_only: bool = False) -> dict:
+    """Run script with argv in a new interpreter; its last stdout line is JSON.
+
+    With stdlib_only the interpreter runs with -S and only src/ on its path,
+    so it can import the standard library and bcsim but no installed package.
+    """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
+    paths = (str(SRC),) if stdlib_only else (str(SRC), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, *(["-S"] if stdlib_only else []), "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _sim_in_fresh_process(argv: list[str], no_numpy: bool = False) -> dict:
-    return _in_fresh_process(_SIM_IN_FRESH_PROCESS, ["--no-numpy", *argv] if no_numpy else argv)
+def _sim_in_fresh_process(argv: list[str]) -> dict:
+    return _in_fresh_process(_SIM_IN_FRESH_PROCESS, argv)
 
 
 def _expected_sim_text(config: SimConfig, trace_path: Path) -> str:
@@ -258,15 +260,64 @@ def test_importing_cli_loads_no_command_only_module():
     ["sweep", "--trace", "TRACE", "--thresholds", "25,100"],
     ["attack", "aes", "--samples", "3"],
     ["attack", "single_set", "--bits", "8", "--filler-kb", "4"],
-], ids=["sim", "sweep", "attack-aes", "attack-single-set"])
+    ["analyze", "--trials", "0"],
+], ids=["sim", "sweep", "attack-aes", "attack-single-set", "analyze-closed-form"])
 def test_commands_run_without_numpy(tmp_path, trace_file, argv):
+    """Under python -S with only src/ on the path, no installed package (numpy,
+    yaml, or a command-line library) can be imported; these commands still
+    run and write what they write here."""
     argv = [str(trace_file) if a == "TRACE" else a for a in argv]
     here, fresh = tmp_path / "here.out", tmp_path / "fresh.out"
     assert main([*argv, "--out", str(here)]) == EXIT_OK
-    report = _sim_in_fresh_process([*argv, "--out", str(fresh)], no_numpy=True)
+    report = _in_fresh_process(_SIM_IN_FRESH_PROCESS, [*argv, "--out", str(fresh)],
+                               stdlib_only=True)
     assert report == {"rc": EXIT_OK, "yaml_imported": False, "numpy_imported": False,
-                      "openssl_imported": argv[0] == "sim", "analysis_imported": False}
+                      "openssl_imported": argv[0] == "sim",
+                      "analysis_imported": argv[0] == "analyze"}
     assert fresh.read_bytes() == here.read_bytes()
+
+
+# Runs bcsim.cli.main under a 512 MiB address-space limit, set in this child
+# only, so a size that slips past its cap fails fast instead of filling the host.
+_CAPPED_IN_FRESH_PROCESS = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from bcsim.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "err": err.getvalue()}))
+"""
+
+
+@pytest.mark.parametrize("argv, config_text, code, cap", [
+    (["attack", "aes", "--samples", "100000000000"], None, EXIT_USAGE, "in [0, 100000]"),
+    (["attack", "single_set", "--filler-kb", "1000000000"], None, EXIT_USAGE, "in [0, 65536]"),
+    (["analyze", "--trials", "100000000000"], None, EXIT_USAGE, "in [0, 10000000]"),
+    (["sim", "--trace", "TRACE"], "l2: {sets: 1073741824}\n", EXIT_CONFIG,
+     "capped at 4194304 lines"),
+    (["sim", "--trace", "TRACE"], "backup: {max_lines: 1000000000}\n", EXIT_CONFIG,
+     "capped at 65536 lines"),
+    # One past each option's cap.
+    (["attack", "aes", "--samples", "100001"], None, EXIT_USAGE, "in [0, 100000]"),
+    (["attack", "single_set", "--bits", "1000001"], None, EXIT_USAGE, "in [2, 1000000]"),
+    (["attack", "single_set", "--filler-kb", "65537"], None, EXIT_USAGE, "in [0, 65536]"),
+    (["analyze", "--trials", "10000001"], None, EXIT_USAGE, "in [0, 10000000]"),
+    (["sweep", "--trace", "TRACE", "--thresholds", ",".join(map(str, range(1, 66)))], None,
+     EXIT_USAGE, "up to 64 positive integers"),
+], ids=["aes-samples", "filler-kb", "trials", "l2-sets", "backup-max-lines", "samples-cap-1",
+        "bits-cap-1", "filler-kb-cap-1", "trials-cap-1", "thresholds-cap-1"])
+def test_oversized_request_exits_naming_its_cap(tmp_path, trace_file, argv, config_text, code,
+                                                cap):
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    if config_text is not None:
+        (tmp_path / "c.yaml").write_text(config_text)
+        argv += ["--config", str(tmp_path / "c.yaml")]
+    out = tmp_path / "o.csv"
+    report = _in_fresh_process(_CAPPED_IN_FRESH_PROCESS, [*argv, "--out", str(out)])
+    assert report["rc"] == code
+    assert cap in report["err"]
+    assert not out.exists()
 
 
 _AES_API_IN_FRESH_PROCESS = """
@@ -474,6 +525,34 @@ def test_sweep_requires_backup_mode(tmp_path, trace_file):
 
 def test_unknown_subcommand():
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, code, stream, names", [
+    ([], EXIT_USAGE, None, ()),
+    (["--help"], EXIT_OK, "out", ("sim", "attack", "analyze", "sweep")),
+    (["sim", "--help"], EXIT_OK, "out", ("--trace",)),
+    (["--version"], EXIT_OK, "out", ("0.1.0",)),
+    (["sim"], EXIT_USAGE, "err", ("--trace",)),
+    (["attack"], EXIT_USAGE, None, ()),
+    # Complete command lines, so that only the unknown or abbreviated option is wrong.
+    (["sim", "--trace", "TRACE", "--out", "OUT", "--no-such-option"], EXIT_USAGE, "err",
+     ("--no-such-option",)),
+    (["attack", "aes", "--samp", "2", "--out", "OUT"], EXIT_USAGE, "err", ("--samp",)),
+], ids=["no-command", "help", "sim-help", "version", "sim-no-trace", "attack-no-scenario",
+        "unknown-option", "abbreviated-option"])
+def test_command_line_contract(tmp_path, trace_file, capsys, argv, code, stream, names):
+    """main returns the documented exit code for help, version and usage
+    errors, and never lets the parser's SystemExit escape."""
+    subs = {"TRACE": str(trace_file), "OUT": str(tmp_path / "o.csv")}
+    try:
+        rc = main([subs.get(a, a) for a in argv])
+    except SystemExit as exc:
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    assert rc == code
+    text = getattr(capsys.readouterr(), stream) if stream else ""
+    for name in names:
+        assert name in text
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("argv, code", [
