@@ -15,7 +15,7 @@ Averaged over a uniform B the p-dependent terms cancel.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ModelError(ValueError):
@@ -44,8 +44,7 @@ def p_avg(b_min: int, b_max: int) -> float:
     return 0.5 + 1.0 / (2 * span)
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     estimate: float
     stderr: float
 

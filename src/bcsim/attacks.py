@@ -9,7 +9,7 @@ scenario is reproducible from its config's seed.
 import itertools
 import random
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import ADDR_LIMIT, CacheError, CacheGeometry, compose
 from .simulator import KIND_CTXSWITCH, KIND_LOAD, ConfigError, SimConfig, Simulator
@@ -84,8 +84,7 @@ def classify_threshold(latencies_0: list[int], latencies_1: list[int],
     return [1 if lat > threshold else 0 for lat in test_latencies], threshold, False
 
 
-@dataclass
-class SingleSetAttackResult:
+class SingleSetAttackResult(NamedTuple):
     probe_latencies: list[int]
     accuracy: float
     degenerate: bool
@@ -123,8 +122,7 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
                                  degenerate=degenerate)
 
 
-@dataclass
-class AesAttackResult:
+class AesAttackResult(NamedTuple):
     """Per-sample, per-set probe latencies for the T-table attack.
 
     latencies is a C-contiguous (n_samples, 64) memoryview of format "q"
@@ -134,7 +132,7 @@ class AesAttackResult:
     """
 
     latencies: memoryview
-    plaintexts: list[bytes] = field(repr=False)
+    plaintexts: list[bytes]
 
 
 N_TTABLE_SETS = 64

@@ -11,7 +11,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -59,7 +58,8 @@ class OutputError(Exception):
 def _fields(mapping, schema: dict, where: str, prefix: str = "") -> dict:
     """The SimConfig fields one YAML mapping sets. A field whose default is
     text takes any value, for SimConfig to check; every other value must be
-    an integer."""
+    an integer. No integer may reach 2**63 in magnitude: no size, latency or
+    seed needs one, and past 4,300 digits one cannot even be printed."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a mapping")
     unknown = set(map(str, mapping)) - set(schema)
@@ -71,11 +71,13 @@ def _fields(mapping, schema: dict, where: str, prefix: str = "") -> dict:
         if isinstance(name, dict):
             found = _fields(value, name, key, f"{key}.")
             if name is _GEOMETRY_FIELDS:
-                fields[key] = replace(getattr(SimConfig(), key), **found)
+                fields[key] = SimConfig._field_defaults[key]._replace(**found)
             else:
                 fields.update(found)
-        elif (isinstance(getattr(SimConfig, name, None), str)
-              or (isinstance(value, int) and not isinstance(value, bool))):
+        elif type(value) is int and value.bit_length() > 63:
+            raise ConfigError(f"{prefix}{key} must be below 2**63 in magnitude, "
+                              f"got a {value.bit_length()}-bit integer")
+        elif isinstance(SimConfig._field_defaults.get(name), str) or type(value) is int:
             fields[name] = value
         else:
             raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
@@ -107,16 +109,14 @@ def load_config(path: str | None, seed_override: int | None = None) -> SimConfig
             raise InputDataError(f"cannot read config {path}: {exc}") from exc
         try:
             data = yaml.safe_load(text) or {}
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4,300 digits
             raise ConfigError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
     try:
         fields = _fields(data, _SCHEMA, "config")
         if seed_override is not None:
             fields["seed"] = seed_override
         return SimConfig(**fields)
-    except CacheError as exc:
+    except (CacheError, ValueError) as exc:  # ValueError: a message that quotes such an int
         raise ConfigError(str(exc)) from exc
 
 
@@ -277,9 +277,9 @@ def cmd_sweep(args):
     records = _read_trace(args.trace_path)
     rows = []
     for threshold in _thresholds(args.thresholds):
-        config = replace(base, fixed_threshold=threshold)
+        config = base._replace(fixed_threshold=threshold)
         rows.append((str(threshold), run_trace(Simulator(config), records)))
-    dyn = replace(base, fixed_threshold=None)
+    dyn = base._replace(fixed_threshold=None)
     rows.append(("dynamic", run_trace(Simulator(dyn), records)))
     text = _csv_text([["threshold", "resize_count", "avg_access_latency", "l1d_misses",
                        "l2_misses"],

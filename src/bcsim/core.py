@@ -1,7 +1,6 @@
 """Address arithmetic and a generic set-associative cache with LRU replacement."""
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ADDR_BITS = 48
 ADDR_LIMIT = 1 << ADDR_BITS
@@ -20,20 +19,30 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Shape and hit latency of one cache level.
+def checked_replace(self, /, **changes):
+    """_replace and copy.replace of a checked named tuple: the copy goes through __new__."""
+    return type(self)(**{**self._asdict(), **changes})
 
-    line_bytes and num_sets must be powers of two so that address
-    decomposition is pure bit slicing.
-    """
 
+class _GeometryFields(NamedTuple):
     line_bytes: int
     num_sets: int
     ways: int
     hit_cycles: int
 
-    def __post_init__(self):
+
+class CacheGeometry(_GeometryFields):
+    """Shape and hit latency of one cache level, checked when built or replaced.
+
+    line_bytes and num_sets must be powers of two so that address
+    decomposition is pure bit slicing.
+    """
+
+    __slots__ = ()
+    _replace = __replace__ = checked_replace  # namedtuple's own skips __new__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _is_pow2(self.line_bytes):
             raise GeometryError(f"line_bytes must be a power of two, got {self.line_bytes}")
         if not _is_pow2(self.num_sets):
@@ -47,6 +56,7 @@ class CacheGeometry:
             raise GeometryError(f"hit_cycles must be positive, got {self.hit_cycles}")
         if self.offset_bits + self.index_bits > ADDR_BITS:
             raise GeometryError(f"line_bytes * num_sets exceeds the {ADDR_BITS}-bit address space")
+        return self
 
     @property
     def offset_bits(self) -> int:

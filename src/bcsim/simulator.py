@@ -2,11 +2,12 @@
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .backup import BackupCache
-from .core import ADDR_BITS, CacheError, CacheGeometry, SetAssociativeCache, check_addr
+from .core import (ADDR_BITS, CacheError, CacheGeometry, SetAssociativeCache, check_addr,
+                   checked_replace)
 
 DEFAULT_SEED = 0xB4C4E
 MAX_BACKUP_LINES = 1 << 16  # the paper's backup caches hold at most 256 lines
@@ -25,9 +26,19 @@ class ConfigError(CacheError):
     """Invalid simulator configuration."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Full simulator parameterization.
+class _ConfigFields(NamedTuple):
+    mode: str = MODE_BACKUP
+    l1d: CacheGeometry = CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3)
+    l2: CacheGeometry = CacheGeometry(line_bytes=64, num_sets=2048, ways=8, hit_cycles=20)
+    backup_min: int = 192
+    backup_max: int = 256
+    memory_penalty_cycles: int = 100
+    seed: int = DEFAULT_SEED
+    fixed_threshold: Optional[int] = None
+
+
+class SimConfig(_ConfigFields):
+    """Full simulator parameterization, checked when built or replaced.
 
     In baseline mode the backup_* and resize fields are ignored. The miss
     path costs l2.hit_cycles on an L2 hit and additionally
@@ -35,18 +46,11 @@ class SimConfig:
     cache's physical size in lines; a fixed_threshold selects fixed resizing.
     """
 
-    mode: str = MODE_BACKUP
-    l1d: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3))
-    l2: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry(line_bytes=64, num_sets=2048, ways=8, hit_cycles=20))
-    backup_min: int = 192
-    backup_max: int = 256
-    memory_penalty_cycles: int = 100
-    seed: int = DEFAULT_SEED
-    fixed_threshold: Optional[int] = None
+    __slots__ = ()
+    _replace = __replace__ = checked_replace  # namedtuple's own skips __new__
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (MODE_BASELINE, MODE_BACKUP):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.l1d.line_bytes != self.l2.line_bytes:
@@ -65,6 +69,7 @@ class SimConfig:
                                   f"got {self.backup_max}")
             if self.fixed_threshold is not None and self.fixed_threshold < 1:
                 raise ConfigError("fixed_threshold must be positive")
+        return self
 
 
 def baseline_config(seed: int = DEFAULT_SEED) -> SimConfig:
@@ -106,12 +111,11 @@ class AccessOutcome(NamedTuple):
     l2_hit: Optional[bool] = None
 
 
-@dataclass
-class SimStats:
-    """Aggregate counters of one Simulator.run."""
+class SimStats(NamedTuple):
+    """Aggregate counters of one Simulator.run. The default case_counts is shared, so read-only."""
 
     accesses: int = 0
-    case_counts: dict = field(default_factory=lambda: {"00": 0, "01": 0, "10": 0, "11": 0})
+    case_counts: Mapping[str, int] = MappingProxyType({"00": 0, "01": 0, "10": 0, "11": 0})
     l1d_hits: int = 0
     l1d_misses: int = 0
     backup_hits: int = 0
@@ -128,7 +132,8 @@ class SimStats:
         return self.total_latency_cycles / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "avg_access_latency": self.avg_access_latency}
+        return {**self._asdict(), "case_counts": dict(self.case_counts),
+                "avg_access_latency": self.avg_access_latency}
 
     def as_text(self) -> str:
         lines = []

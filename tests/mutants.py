@@ -17,8 +17,10 @@ The file name has no test_ prefix, so Tier-1 never collects it. The
 anchors are the text of Simulator.run and of the cache methods it and its
 cold paths (resize, context switch) call, of the attacks' prime, victim
 and probe steps, of the trace file's block parse, of cli.dump_config,
-of the module-level imports of cli and simulator and of the cache size
-cap: a change to that text must update this table, not drop a row.
+of the module-level imports of cli, simulator and core, of the cache size
+cap, of the config file's integer bound and of the checked _replace of
+CacheGeometry: a change to that text must update this table, not drop a
+row.
 """
 
 import os
@@ -45,6 +47,7 @@ IMPORT_SETS = ("tests/test_cli.py::test_importing_cli_loads_no_command_only_modu
                "tests/test_cli.py::test_only_numeric_commands_import_numpy")
 STDLIB_ONLY = "tests/test_cli.py::test_commands_run_without_numpy"
 SIZE_CAPS = "tests/test_cli.py::test_oversized_request_exits_naming_its_cap"
+VALUE_TYPES = "tests/test_value_types.py"
 
 
 class Mutant(NamedTuple):
@@ -214,6 +217,18 @@ MUTANTS = [
            "if self.num_sets * self.ways > MAX_LINES:",
            "if False:",
            (SIZE_CAPS,)),
+    Mutant("replace-skips-validation", "core.py",
+           "    _replace = __replace__ = checked_replace  # namedtuple's own skips __new__\n",
+           "",
+           (VALUE_TYPES,)),
+    Mutant("config-int-bound-dropped", "cli.py",
+           "elif type(value) is int and value.bit_length() > 63:",
+           "elif False:",
+           ("tests/test_config_gate.py",)),
+    Mutant("dataclasses-at-module-level", "core.py",
+           "from typing import NamedTuple, Optional\n",
+           "import dataclasses\nfrom typing import NamedTuple, Optional\n",
+           IMPORT_SETS),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -93,3 +94,36 @@ def test_monte_carlo_reproducible():
 def test_monte_carlo_stderr_scale():
     res = monte_carlo_single_set(192, 256, 0.5, trials=100_000, seed=2)
     assert 0 < res.stderr < math.sqrt(0.25 / 100_000) * 1.5
+
+
+def _oracle(b_min: int, b_max: int, p: Fraction) -> dict[int, Fraction]:
+    """Exact success probability for each prime-time size B, from every
+    (B, B*) pair and the three regime rules, without p_correct's algebra:
+    B* > B is right with p, B* == B always, B* < B with 1 - p."""
+    rule = {1: p, 0: Fraction(1), -1: 1 - p}
+    sizes = range(b_min, b_max + 1)
+    exact = {}
+    for b in sizes:
+        counts = {1: 0, 0: 0, -1: 0}
+        for b_star in sizes:
+            counts[(b_star > b) - (b_star < b)] += 1
+        exact[b] = sum(n * rule[r] for r, n in counts.items()) / len(sizes)
+    return exact
+
+
+def _within_ulps(x: float, exact: Fraction, ulps: int = 4) -> bool:
+    return abs(x - float(exact)) <= ulps * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("lo_kb, hi_kb", [(12, 16), (8, 16), (4, 16)])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                               Fraction(1)])
+def test_closed_form_matches_exact_pair_enumeration(lo_kb, hi_kb, p):
+    b_min, b_max = lo_kb * 1024 // 64, hi_kb * 1024 // 64
+    span = b_max - b_min + 1
+    exact = _oracle(b_min, b_max, p)
+    average = sum(exact.values()) / span
+    assert average == Fraction(1, 2) + Fraction(1, 2 * span)
+    assert _within_ulps(p_avg(b_min, b_max), average)
+    for b, value in exact.items():
+        assert _within_ulps(p_correct(b_min, b_max, b, float(p)), value), b
