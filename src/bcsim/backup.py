@@ -20,9 +20,10 @@ class _BackupLine:
 class BackupCache:
     """Eviction-hiding cache at L1 level.
 
-    A line enters clean with used=0 when the L1D evicts it (insert). Every
-    access probes it once (lookup): a hit sets the used bit, and a store hit
-    also sets dirty. Used bits are cleared in bulk at context switches.
+    A line, named by any int key (Simulator.run passes line numbers), enters
+    clean with used=0 when the L1D evicts it (insert). Every access probes it
+    once (lookup): a hit sets the used bit, and a store hit also sets dirty.
+    Used bits are cleared in bulk at context switches.
 
     Every physical slot sits in exactly one of four slot lists, each kept
     in ascending slot order. A state change moves the slot where it
@@ -66,8 +67,8 @@ class BackupCache:
         return addr in self._where
 
     def lookup(self, addr: int, store: bool = False) -> bool:
-        """Probe a line-aligned address; a hit marks the line re-used, a store hit also dirty.
-        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP item 3)."""
+        """Probe a line by its key; a hit marks the line re-used, a store hit also dirty.
+        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP 3)."""
         slot = self._where.get(addr)
         if slot is None:
             return False
@@ -100,11 +101,9 @@ class BackupCache:
         raise CacheError("no enabled line to select a victim from")
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
-        """Take in a line the L1D evicted: install it clean, with used=0, unless
-        it is already resident; returns the displaced (address, dirty) pair, if
-        any. select_victim draws the slot and _empty moves it to used0.
-        Simulator.run inlines it; kept for perfbench/tracer.py, which patches
-        it (ROADMAP items 1/3)."""
+        """Take in an L1D victim clean, with used=0, unless it is resident; returns the displaced
+        (key, dirty) pair, if any. select_victim draws the slot and _empty moves it to used0.
+        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP 1/3)."""
         if addr in self._where:
             return None
         slot = self.select_victim()
@@ -118,7 +117,7 @@ class BackupCache:
 
     def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
         """Clear an enabled slot's line and move the slot to dst (invalid or
-        disabled, or used0 when insert refills it); returns the line's address
+        disabled, or used0 when insert refills it); returns the line's key
         if it held dirty data."""
         line = self.lines[slot]
         src = self.invalid if not line.valid else self.used1 if line.used else self.used0

@@ -88,34 +88,34 @@ class SetAssociativeCache:
     line addresses are the only observables the simulator needs.
     A set evicts only when all of its ways are valid.
 
-    Each public method checks its address. The simulator, which checks an
-    address once per access, instead indexes sets directly: addr's set is
-    sets[(addr >> offset_bits) & index_mask] and its tag is addr >> tag_shift.
+    Each set is keyed by line number, addr >> offset_bits, and a line's set is
+    sets[line & index_mask]; its tag, line >> index_bits, appears only in
+    state_tuple(). Each public method checks its byte address. The simulator
+    checks an address once per access and indexes every level by its line.
     """
 
     def __init__(self, geometry: CacheGeometry):
         self.num_ways = geometry.ways
         self.offset_bits = geometry.offset_bits
+        self.index_bits = geometry.index_bits
         self.index_mask = geometry.num_sets - 1
-        self.tag_shift = geometry.offset_bits + geometry.index_bits
-        # Address bits that select the set, kept when rebuilding a victim's address.
-        self.index_field = self.index_mask << self.offset_bits
-        # Each set maps tag -> dirty in recency order, least recently used first.
+        # Each set maps line number -> dirty in recency order, least recently used first.
         self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.num_sets)]
 
     def _locate(self, addr: int) -> tuple[dict[int, bool], int]:
-        """The set holding addr and addr's tag."""
+        """The set holding addr and addr's line number."""
         if not 0 <= addr < ADDR_LIMIT:
             check_addr(addr)
-        return self.sets[(addr >> self.offset_bits) & self.index_mask], addr >> self.tag_shift
+        line = addr >> self.offset_bits
+        return self.sets[line & self.index_mask], line
 
     def lookup(self, addr: int, store: bool = False) -> bool:
         """Probe addr; a hit makes the line most recently used, a store hit also dirty."""
-        ways, tag = self._locate(addr)
-        dirty = ways.pop(tag, None)
+        ways, line = self._locate(addr)
+        dirty = ways.pop(line, None)
         if dirty is None:
             return False
-        ways[tag] = True if store else dirty
+        ways[line] = True if store else dirty
         return True
 
     def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
@@ -123,20 +123,20 @@ class SetAssociativeCache:
 
         The caller must have checked that addr is not already resident.
         """
-        ways, tag = self._locate(addr)
-        if tag in ways:
+        ways, line = self._locate(addr)
+        if line in ways:
             raise CacheError(f"insert of already-resident address {addr:#x}")
         evicted = None
         if len(ways) == self.num_ways:
             victim = next(iter(ways))
-            evicted = ((victim << self.tag_shift) | (addr & self.index_field), ways.pop(victim))
-        ways[tag] = dirty
+            evicted = (victim << self.offset_bits, ways.pop(victim))
+        ways[line] = dirty
         return evicted
 
     def invalidate(self, addr: int) -> bool:
         """Drop the matching line if present; dirty contents are discarded."""
-        ways, tag = self._locate(addr)
-        return ways.pop(tag, None) is not None
+        ways, line = self._locate(addr)
+        return ways.pop(line, None) is not None
 
     def write_touch(self, addr: int) -> bool:
         """A store probe, kept only for perfbench/tracer.py, which patches it (ROADMAP item 1)."""
@@ -148,12 +148,13 @@ class SetAssociativeCache:
         Non-allocating: a write-back of a line the cache does not hold goes
         straight to memory. Recency is deliberately left untouched.
         """
-        ways, tag = self._locate(addr)
-        if tag not in ways:
+        ways, line = self._locate(addr)
+        if line not in ways:
             return False
-        ways[tag] = True
+        ways[line] = True
         return True
 
     def state_tuple(self) -> tuple:
         """Canonical tag-array state: per set, (tag, dirty) of each valid way, oldest first."""
-        return tuple(tuple(ways.items()) for ways in self.sets)
+        shift = self.index_bits
+        return tuple(tuple([(line >> shift, d) for line, d in ways.items()]) for ways in self.sets)

@@ -159,20 +159,21 @@ class Simulator:
     def __init__(self, config: SimConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.l1d = SetAssociativeCache(config.l1d)
-        self.l2 = SetAssociativeCache(config.l2)
+        try:
+            self.l1d = SetAssociativeCache(config.l1d)
+            self.l2 = SetAssociativeCache(config.l2)
+        except MemoryError:  # a level near core.MAX_LINES holds millions of set dicts
+            raise ConfigError("out of memory building the caches: " + ", ".join(
+                f"{name} {geo.num_sets} sets x {geo.ways} ways"
+                for name, geo in (("l1d", config.l1d), ("l2", config.l2)))) from None
         self.backup: Optional[BackupCache] = None
         # The countdown register: accesses left until the next resize, reloaded
         # with fixed_threshold in fixed mode and with the new size otherwise.
         self.mem_access_count: Optional[int] = None
         if config.mode == MODE_BACKUP:
             size = self.rng.randint(config.backup_min, config.backup_max)
-            self.backup = BackupCache(
-                min_size=config.backup_min,
-                max_size=config.backup_max,
-                initial_size=size,
-                rng=self.rng,
-            )
+            self.backup = BackupCache(min_size=config.backup_min, max_size=config.backup_max,
+                                      initial_size=size, rng=self.rng)
             self.mem_access_count = config.fixed_threshold or size
 
     # -- memory access ------------------------------------------------
@@ -199,14 +200,12 @@ class Simulator:
         stay applied.
         """
         l1d, l2, backup = self.l1d, self.l2, self.backup
-        l1_sets, l1_offset, l1_mask = l1d.sets, l1d.offset_bits, l1d.index_mask
-        l1_shift, l1_ways, l1_index = l1d.tag_shift, l1d.num_ways, l1d.index_field
-        l2_sets, l2_offset, l2_mask = l2.sets, l2.offset_bits, l2.index_mask
-        l2_shift, l2_ways = l2.tag_shift, l2.num_ways
+        # Every level is keyed by line number, addr >> offset: the L1D and L2 share one line size.
+        l1_sets, l1_mask, l1_ways, offset = l1d.sets, l1d.index_mask, l1d.num_ways, l1d.offset_bits
+        l2_sets, l2_mask, l2_ways = l2.sets, l2.index_mask, l2.num_ways
         config = self.config
         l1_cycles, l2_cycles = config.l1d.hit_cycles, config.l2.hit_cycles
         miss_cycles = l2_cycles + config.memory_penalty_cycles
-        line_mask = ~(config.l1d.line_bytes - 1)
         where = None
         if backup is not None:
             # clear_used, invalidate and resize mutate the tier lists in place,
@@ -233,29 +232,29 @@ class Simulator:
                         events.append(result)
                     continue
                 # The one address check of an access: the paths below index
-                # the L1D and L2 sets directly.
+                # the L1D, BC and L2 directly by its line number.
                 if addr >> ADDR_BITS:  # nonzero unless 0 <= addr < 2**48
                     check_addr(addr)
-                ways = l1_sets[(addr >> l1_offset) & l1_mask]
-                tag = addr >> l1_shift
-                dirty = ways.pop(tag, None)
+                line = addr >> offset
+                ways = l1_sets[line & l1_mask]
+                dirty = ways.pop(line, None)
                 bu_hit = False
                 if where is not None:
-                    slot = where.get(addr & line_mask)
+                    slot = where.get(line)
                     if slot is not None:
                         bu_hit = True
-                        line = lines[slot]
+                        entry = lines[slot]
                         if store:
-                            line.dirty = True
-                        if not line.used:
-                            line.used = True
+                            entry.dirty = True
+                        if not entry.used:
+                            entry.used = True
                             del used0[bisect_left(used0, slot)]
                             insort(used1, slot)
                     count -= 1
                 if dirty is not None:
                     # An L1D hit makes the line most recently used, and a
                     # store dirties it.
-                    ways[tag] = True if store else dirty
+                    ways[line] = True if store else dirty
                     if bu_hit:
                         n11 += 1
                     else:
@@ -270,11 +269,10 @@ class Simulator:
                     case = "11" if bu_hit else "10"
                     latency, l2_hit, eviction, wbs = l1_cycles, None, None, ()
                 else:
-                    # An L1D miss. On a BC hit the line fill happens after
-                    # the response, and the BC keeps its copy, so the L1 copy
-                    # is installed clean. Otherwise the line comes from the
-                    # L2, which allocates it clean on a miss and drops its
-                    # LRU victim (memory traffic is not modeled).
+                    # An L1D miss. On a BC hit the line fill happens after the response,
+                    # and the BC keeps its copy, so the L1 copy is installed clean.
+                    # Otherwise the line comes from the L2, which allocates it clean on
+                    # a miss and drops its LRU victim (memory traffic is not modeled).
                     if bu_hit:
                         case, latency, l2_hit = "01", l1_cycles, None
                         n01 += 1
@@ -282,33 +280,30 @@ class Simulator:
                     else:
                         case = "00"
                         n00 += 1
-                        l2_set = l2_sets[(addr >> l2_offset) & l2_mask]
-                        l2_tag = addr >> l2_shift
-                        l2_dirty = l2_set.pop(l2_tag, None)
+                        l2_set = l2_sets[line & l2_mask]
+                        l2_dirty = l2_set.pop(line, None)
                         l2_hit = l2_dirty is not None
                         if l2_hit:
-                            l2_set[l2_tag] = l2_dirty
+                            l2_set[line] = l2_dirty
                             latency = l2_cycles
                             l2_hits += 1
                         else:
                             if len(l2_set) == l2_ways:
                                 del l2_set[next(iter(l2_set))]
-                            l2_set[l2_tag] = False
+                            l2_set[line] = False
                             latency = miss_cycles
                             l2_misses += 1
-                    # Install the line as MRU. A displaced dirty line is
-                    # written back: the L2 sets its dirty bit if it holds the
-                    # line, and leaves its recency alone (mark_dirty). With a
-                    # BC the displaced line is then placed there clean, with
-                    # used=0, unless it is already resident.
+                    # Install the line as MRU. A displaced dirty line is written back:
+                    # the L2 sets its dirty bit if it holds the line, and leaves its
+                    # recency alone (mark_dirty). With a BC the displaced line is then
+                    # placed there clean, with used=0, unless it is already resident.
                     wbs, eviction = (), None
                     if len(ways) == l1_ways:
-                        victim = next(iter(ways))
-                        eviction = (victim << l1_shift) | (addr & l1_index)
-                        if ways.pop(victim):
-                            wb_set = l2_sets[(eviction >> l2_offset) & l2_mask]
-                            if (wb_tag := eviction >> l2_shift) in wb_set:
-                                wb_set[wb_tag] = True
+                        eviction = next(iter(ways))
+                        if ways.pop(eviction):
+                            wb_set = l2_sets[eviction & l2_mask]
+                            if eviction in wb_set:
+                                wb_set[eviction] = True
                             wbs = (eviction,)
                         if where is not None and eviction not in where:
                             # select_victim's draw from the first non-empty tier of
@@ -322,24 +317,24 @@ class Simulator:
                             while r >= n:
                                 r = getrandbits(k)
                             slot = tier[r]
-                            line = lines[slot]
+                            entry = lines[slot]
                             if tier is not used0:  # the slot moves to used0
                                 del tier[r]
                                 insort(used0, slot)
-                            if line.valid:
-                                displaced = line.addr
+                            if entry.valid:
+                                displaced = entry.addr
                                 del where[displaced]
-                                if line.dirty:
-                                    wb_set = l2_sets[(displaced >> l2_offset) & l2_mask]
-                                    if (wb_tag := displaced >> l2_shift) in wb_set:
-                                        wb_set[wb_tag] = True
+                                if entry.dirty:
+                                    wb_set = l2_sets[displaced & l2_mask]
+                                    if displaced in wb_set:
+                                        wb_set[displaced] = True
                                     wbs += (displaced,)
-                                line.dirty = line.used = False
+                                entry.dirty = entry.used = False
                             else:  # an invalid line's dirty and used bits are clear
-                                line.valid = True
-                            line.addr = eviction
+                                entry.valid = True
+                            entry.addr = eviction
                             where[eviction] = slot
-                    ways[tag] = store
+                    ways[line] = store
                 resized = None
                 if count <= 0:
                     resized, written_back = self._resize()
@@ -350,9 +345,10 @@ class Simulator:
                 if latencies is not None:
                     latencies.append(latency)
                 if events is not None:
-                    # The namedtuple's generated __new__, without its Python frame.
-                    events.append(tuple.__new__(
-                        AccessOutcome, (case, latency, eviction, wbs, resized, l2_hit)))
+                    # In byte addresses, by the namedtuple's generated __new__ without its frame.
+                    events.append(tuple.__new__(AccessOutcome, (
+                        case, latency, None if eviction is None else eviction << offset,
+                        tuple([wb << offset for wb in wbs]), resized, l2_hit)))
         finally:
             # Also when a record raises: the accesses before it keep their countdown.
             if backup is not None:
@@ -365,13 +361,13 @@ class Simulator:
                         + l2_hits * l2_cycles + l2_misses * miss_cycles)
 
     def _resize(self) -> tuple[tuple[int, int], tuple[int, ...]]:
-        """Resize the BC once the countdown runs out: ((old, new), write-backs)."""
+        """Resize the BC once the countdown runs out: ((old, new), write-backs as line numbers)."""
         old = self.backup.current_size
         new = self.rng.randint(self.config.backup_min, self.config.backup_max)
         self.mem_access_count = self.config.fixed_threshold or new
         written_back = tuple(self.backup.resize(new))
         for wb in written_back:
-            self.l2.mark_dirty(wb)
+            self.l2.mark_dirty(wb << self.l2.offset_bits)
         return (old, new), written_back
 
     # -- other events -------------------------------------------------
@@ -384,19 +380,23 @@ class Simulator:
 
     def external_invalidate(self, addr: int) -> bool:
         """Coherence invalidation from below: drop the line everywhere."""
-        la = addr & ~(self.config.l1d.line_bytes - 1)
-        in_l1 = self.l1d.invalidate(addr)
-        in_bu = self.backup.invalidate(la) if self.backup is not None else False
+        in_l1 = self.l1d.invalidate(addr)  # checks addr before any change
+        in_bu = self.backup is not None and self.backup.invalidate(addr >> self.l1d.offset_bits)
         in_l2 = self.l2.invalidate(addr)
         return in_l1 or in_bu or in_l2
 
     # -- introspection ------------------------------------------------
+
+    def backup_state(self) -> tuple:
+        """The BC's state_tuple() with each slot's line number as a byte address."""
+        shift = self.l1d.offset_bits
+        return tuple(slot[:4] + (slot[4] << shift,) for slot in self.backup.state_tuple())
 
     def state_digest(self) -> str:
         """SHA-256 over all tag arrays, the backup size and the countdown (hex string)."""
         import hashlib  # imported here: only sim hashes, and OpenSSL costs ~4 MB of RSS
         parts = [self.config.mode, repr(self.l1d.state_tuple()), repr(self.l2.state_tuple())]
         if self.backup is not None:
-            parts.append(repr(self.backup.state_tuple()))
+            parts.append(repr(self.backup_state()))
             parts.append(f"{self.backup.current_size},{self.mem_access_count}")
         return hashlib.sha256("|".join(parts).encode()).hexdigest()

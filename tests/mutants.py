@@ -14,13 +14,14 @@ first run once on the unmutated copy, which must pass. The exit code is 0
 only if every mutant was killed.
 
 The file name has no test_ prefix, so Tier-1 never collects it. The
-anchors are the text of Simulator.run and of the cache methods it and its
-cold paths (resize, context switch) call, of the attacks' prime, victim
-and probe steps, of the trace file's block parse, of cli.dump_config,
-of the module-level imports of cli, simulator and core, of the cache size
-cap, of the config file's integer bound and of the checked _replace of
-CacheGeometry: a change to that text must update this table, not drop a
-row.
+anchors are the text of Simulator.run (its line-number key and the
+conversion of its events back to byte addresses among them) and of the
+cache methods it and its cold paths (resize, context switch) call, of the
+attacks' prime, victim and probe steps, of the trace file's block parse,
+of cli.dump_config, of the module-level imports of cli, simulator and
+core, of the cache size cap, of the config file's integer bound and of
+the checked _replace of CacheGeometry: a change to that text must update
+this table, not drop a row.
 """
 
 import os
@@ -48,6 +49,8 @@ IMPORT_SETS = ("tests/test_cli.py::test_importing_cli_loads_no_command_only_modu
 STDLIB_ONLY = "tests/test_cli.py::test_commands_run_without_numpy"
 SIZE_CAPS = "tests/test_cli.py::test_oversized_request_exits_naming_its_cap"
 VALUE_TYPES = "tests/test_value_types.py"
+WIDE = ("tests/test_reference.py::test_simulator_matches_reference_across_the_address_space",
+        "tests/test_reference.py::test_batch_run_matches_reference_across_the_address_space")
 
 
 class Mutant(NamedTuple):
@@ -68,8 +71,8 @@ MUTANTS = [
            "for tier in (self.used1, self.used0, self.invalid):",
            (BATCH, STREAMS)),
     Mutant("l1-lru-off-by-one", "simulator.py",
-           "victim = next(iter(ways))",
-           "victim = list(ways)[min(1, len(ways) - 1)]",
+           "eviction = next(iter(ways))",
+           "eviction = list(ways)[min(1, len(ways) - 1)]",
            (BATCH, STREAMS)),
     Mutant("l2-lru-off-by-one", "simulator.py",
            "del l2_set[next(iter(l2_set))]",
@@ -96,29 +99,37 @@ MUTANTS = [
            "if where is not None:",
            (BATCH, STREAMS)),
     Mutant("l1-victim-writeback-not-dirty", "simulator.py",
-           "if (wb_tag := eviction >> l2_shift) in wb_set:\n"
-           "                                wb_set[wb_tag] = True",
-           "if (wb_tag := eviction >> l2_shift) in wb_set:\n"
+           "if eviction in wb_set:\n"
+           "                                wb_set[eviction] = True",
+           "if eviction in wb_set:\n"
            "                                pass",
            (BATCH, STREAMS)),
     Mutant("bc-victim-writeback-not-dirty", "simulator.py",
-           "if (wb_tag := displaced >> l2_shift) in wb_set:\n"
-           "                                        wb_set[wb_tag] = True",
-           "if (wb_tag := displaced >> l2_shift) in wb_set:\n"
+           "if displaced in wb_set:\n"
+           "                                        wb_set[displaced] = True",
+           "if displaced in wb_set:\n"
            "                                        pass",
            (BATCH, STREAMS)),
     Mutant("bc-store-probe-not-dirty", "simulator.py",
-           "if store:\n                            line.dirty = True",
+           "if store:\n                            entry.dirty = True",
            "if store:\n                            pass",
            (BATCH, STREAMS)),
     Mutant("l1-store-probe-not-dirty", "simulator.py",
-           "ways[tag] = True if store else dirty",
-           "ways[tag] = dirty",
+           "ways[line] = True if store else dirty",
+           "ways[line] = dirty",
            (BATCH, STREAMS)),
     Mutant("mark-dirty-promotes", "core.py",
-           "        ways[tag] = True\n        return True",
-           "        del ways[tag]\n        ways[tag] = True\n        return True",
+           "        ways[line] = True\n        return True",
+           "        del ways[line]\n        ways[line] = True\n        return True",
            (BATCH, STREAMS)),
+    Mutant("l1-eviction-reported-as-line-number", "simulator.py",
+           "None if eviction is None else eviction << offset",
+           "eviction",
+           (STREAMS,)),
+    Mutant("line-number-truncated-to-32-bits", "simulator.py",
+           "line = addr >> offset\n",
+           "line = (addr >> offset) & 0xFFFFFFFF\n",
+           WIDE),
     Mutant("fast-path-takes-every-hit", "simulator.py",
            "                    if count > 0:\n",
            "                    if True:\n",

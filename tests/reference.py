@@ -10,7 +10,8 @@ It draws from its RNG in the same order as the simulator: one randint for
 the initial backup size, one randrange per victim, one randint per resize.
 bit_slice splits an address by text slicing of its binary digits, for the
 address tests of test_core.py and test_attacks.py; resident reads an L1D or
-L2 line's residency from the cache's state_tuple() with it. run_trace_unpacked
+L2 line's residency from the cache's state_tuple() with it, and line_of gives
+the line number that keys an address in a Simulator's BC. run_trace_unpacked
 applies records to a RefSimulator op by op and counts SimStats from every
 outcome, so test_trace.py and test_reference.py can hold Simulator.run's
 stats against it; assert_same_state compares the two models' final states.
@@ -33,6 +34,11 @@ def resident(cache, geo, addr):
     """Whether the SetAssociativeCache cache, of geometry geo, holds addr's line."""
     tag, set_index, _ = bit_slice(addr, geo)
     return any(t == tag for t, _ in cache.state_tuple()[set_index])
+
+
+def line_of(sim, addr):
+    """The line number that keys addr's line in the Simulator sim's caches, the BC included."""
+    return addr // sim.config.l1d.line_bytes
 
 
 class RefSetCache:
@@ -263,12 +269,13 @@ class RefSimulator:
 
 def assert_same_state(sim, ref):
     """A Simulator and a RefSimulator hold the same L1D, L2 and BC state,
-    countdown and RNG state."""
+    countdown and RNG state. The BC state is compared in byte addresses, as
+    the Simulator's state_digest reads it."""
     assert sim.l1d.state_tuple() == ref.l1d.state_tuple()
     assert sim.l2.state_tuple() == ref.l2.state_tuple()
     assert (sim.backup is None) == (ref.backup is None)
     if ref.backup is not None:
-        assert sim.backup.state_tuple() == ref.backup.state_tuple()
+        assert sim.backup_state() == ref.backup.state_tuple()
         assert sim.mem_access_count == ref.countdown
     assert sim.rng.getstate() == ref.rng.getstate()
 

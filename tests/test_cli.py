@@ -301,6 +301,10 @@ print(json.dumps({"rc": rc, "err": err.getvalue()}))
      "capped at 4194304 lines"),
     (["sim", "--trace", "TRACE"], "backup: {max_lines: 1000000000}\n", EXIT_CONFIG,
      "capped at 65536 lines"),
+    # Both levels at the line cap: about 300 MB each, more than the limit leaves.
+    (["sim", "--trace", "TRACE"], "l1d: {sets: 4194304, ways: 1}\nl2: {sets: 4194304, ways: 1}\n",
+     EXIT_CONFIG, "out of memory building the caches: l1d 4194304 sets x 1 ways, "
+     "l2 4194304 sets x 1 ways"),
     # One past each option's cap.
     (["attack", "aes", "--samples", "100001"], None, EXIT_USAGE, "in [0, 100000]"),
     (["attack", "single_set", "--bits", "1000001"], None, EXIT_USAGE, "in [2, 1000000]"),
@@ -308,8 +312,8 @@ print(json.dumps({"rc": rc, "err": err.getvalue()}))
     (["analyze", "--trials", "10000001"], None, EXIT_USAGE, "in [0, 10000000]"),
     (["sweep", "--trace", "TRACE", "--thresholds", ",".join(map(str, range(1, 66)))], None,
      EXIT_USAGE, "up to 64 positive integers"),
-], ids=["aes-samples", "filler-kb", "trials", "l2-sets", "backup-max-lines", "samples-cap-1",
-        "bits-cap-1", "filler-kb-cap-1", "trials-cap-1", "thresholds-cap-1"])
+], ids=["aes-samples", "filler-kb", "trials", "l2-sets", "backup-max-lines", "caches-at-line-cap",
+        "samples-cap-1", "bits-cap-1", "filler-kb-cap-1", "trials-cap-1", "thresholds-cap-1"])
 def test_oversized_request_exits_naming_its_cap(tmp_path, trace_file, argv, config_text, code,
                                                 cap):
     argv = [str(trace_file) if a == "TRACE" else a for a in argv]

@@ -137,6 +137,8 @@ _CONFIGS = st.fixed_dictionaries({}, optional={key: _value(name) for key, name i
 @example(mapping={"seed": [HUGE]})
 @example(mapping={"mode": HUGE})
 @example(mapping={"l1d": {"ways": HUGE}})
+# Both levels at the line cap: building them takes more memory than the worker's limit.
+@example(mapping={"l1d": {"sets": 4194304, "ways": 1}, "l2": {"sets": 4194304, "ways": 1}})
 @given(mapping=_CONFIGS)
 def test_any_config_mapping_exits_with_a_documented_code(run_config, mapping):
     report = run_config(yaml.dump(mapping, Dumper=_Dumper))

@@ -1,13 +1,14 @@
 """Differential tests: the simulator against the reference model in reference.py,
 op by op and as one batch, over tiny configs where conflicts, resizes and BC
-evictions are common."""
+evictions are common, on addresses below 512 and across the whole 48-bit
+address space."""
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
-from bcsim.core import CacheGeometry
+from bcsim.core import ADDR_LIMIT, CacheGeometry
 from bcsim.simulator import (
     KIND_CTXSWITCH,
     KIND_INVALIDATE,
@@ -44,6 +45,29 @@ OPS = st.binary(min_size=20, max_size=60).map(lambda raw: [
     (OP_NAMES[b % len(OP_NAMES)], b // len(OP_NAMES) % (POOL_LINES * 4) * 16) for b in raw])
 
 
+# Tags of 4-set groups of lines: tag t owns lines 4t..4t+3, which fall one in
+# each set of every tiny config's L1D and L2. The last tag's last line starts
+# at 2**48 - 64, the last line of the address space.
+LAST_TAG = (ADDR_LIMIT // LINE - 1) >> 2
+EDGE_TAGS = (0, 1, 2**28 - 1, 2**28, LAST_TAG - 1, LAST_TAG)
+
+
+@st.composite
+def wide_ops(draw):
+    """Ops on the lines of 2-5 tags drawn from the whole address space, each
+    at a nonzero offset: every set of every level sees lines that alias."""
+    tags = draw(st.lists(st.sampled_from(EDGE_TAGS) | st.integers(0, LAST_TAG),
+                         min_size=2, max_size=5, unique=True))
+    lines = [(tag << 2 | s) * LINE for tag in tags for s in range(4)]
+    raw = draw(st.binary(min_size=40, max_size=120))
+    n = len(OP_NAMES)
+    return [(OP_NAMES[a % n], lines[a // n % len(lines)] + 1 + b % (LINE - 1))
+            for a, b in zip(raw[::2], raw[1::2])]
+
+
+WIDE_OPS = wide_ops()
+
+
 def apply(target, op, addr):
     if op == "CS":
         return target.context_switch()
@@ -52,26 +76,34 @@ def apply(target, op, addr):
     return tuple(target.access(addr, store=op == "W"))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(config=tiny_configs(), ops=OPS)
-def test_simulator_matches_reference(config, ops):
+def check_op_by_op(config, ops):
     sim, ref = Simulator(config), RefSimulator(config)
     for step, (op, addr) in enumerate(ops):
         assert apply(sim, op, addr) == apply(ref, op, addr), (step, op, addr)
         assert sim.l1d.state_tuple() == ref.l1d.state_tuple(), step
         assert sim.l2.state_tuple() == ref.l2.state_tuple(), step
         if config.mode == MODE_BACKUP:
-            assert sim.backup.state_tuple() == ref.backup.state_tuple(), step
+            assert sim.backup_state() == ref.backup.state_tuple(), step
             assert sim.mem_access_count == ref.countdown, step
     assert sim.rng.getstate() == ref.rng.getstate()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=OPS)
+def test_simulator_matches_reference(config, ops):
+    check_op_by_op(config, ops)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=WIDE_OPS)
+def test_simulator_matches_reference_across_the_address_space(config, ops):
+    check_op_by_op(config, ops)
 
 
 OP_KINDS = {"R": KIND_LOAD, "W": KIND_STORE, "CS": KIND_CTXSWITCH, "INV": KIND_INVALIDATE}
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(config=tiny_configs(), ops=OPS)
-def test_batch_run_matches_reference(config, ops):
+def check_batch(config, ops):
     """The whole op list as one Simulator.run, with both sinks: its events,
     latencies, stats and final state equal the reference model's, applied
     op by op."""
@@ -86,6 +118,18 @@ def test_batch_run_matches_reference(config, ops):
     assert latencies == [want[1] for (op, _), want in zip(ops, expected) if op in ("R", "W")]
     assert stats.as_dict() == run_trace_unpacked(RefSimulator(config), records).as_dict()
     assert_same_state(sim, ref)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=OPS)
+def test_batch_run_matches_reference(config, ops):
+    check_batch(config, ops)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=WIDE_OPS)
+def test_batch_run_matches_reference_across_the_address_space(config, ops):
+    check_batch(config, ops)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from reference import RefSimulator, assert_same_state, resident
+from reference import RefSimulator, assert_same_state, line_of, resident
 
 from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry, SetAssociativeCache, compose
 from bcsim.simulator import (
@@ -139,8 +139,8 @@ def test_store_dirties_and_writes_back_once():
         writebacks.extend(sim.access(a).writebacks)
     assert writebacks.count(target) == 1
     # the backup copy was installed clean: its eviction must not write back again
-    assert sim.backup.contains(target)
-    slot = sim.backup._where[target]
+    assert sim.backup.contains(line_of(sim, target))
+    slot = sim.backup._where[line_of(sim, target)]
     assert not sim.backup.lines[slot].dirty
 
 
@@ -157,10 +157,10 @@ def test_case_11_store_written_back_once():
     assert sim.access(target, store=True).case == "11"
     writebacks = []
     for t in range(5, 5_000):
-        if not (resident(sim.l1d, GEO, target) or sim.backup.contains(target)):
+        if not (resident(sim.l1d, GEO, target) or sim.backup.contains(line_of(sim, target))):
             break
         writebacks.extend(sim.access(compose(t, 9, GEO)).writebacks)
-    assert not (resident(sim.l1d, GEO, target) or sim.backup.contains(target))
+    assert not (resident(sim.l1d, GEO, target) or sim.backup.contains(line_of(sim, target)))
     assert writebacks.count(target) == 1
 
 
@@ -170,9 +170,10 @@ def test_external_invalidate_hits_both_levels():
     for a in addrs:
         sim.access(a)
     sim.access(addrs[0])  # both L1 and backup now
+    assert resident(sim.l1d, GEO, addrs[0]) and sim.backup.contains(line_of(sim, addrs[0]))
     assert sim.external_invalidate(addrs[0])
     assert not resident(sim.l1d, GEO, addrs[0])
-    assert not sim.backup.contains(addrs[0])
+    assert not sim.backup.contains(line_of(sim, addrs[0]))
     assert not resident(sim.l2, sim.config.l2, addrs[0])
     assert sim.access(addrs[0]).case == "00"
     assert not sim.external_invalidate(0xDEAD000)
@@ -299,6 +300,7 @@ def test_no_duplicate_residency():
     # 384 lines in 8 sets: more than the L1D's 32 ways there plus the
     # backup's 256 lines, so the backup evicts valid lines.
     pool = [compose(t, s, GEO) for t in range(48) for s in range(8)]
+    pool_lines = {line_of(sim, a) for a in pool}
     for i in range(5_000):
         sim.access(rng.choice(pool), store=rng.random() < 0.3)
         if i % 250 == 0:
@@ -309,6 +311,8 @@ def test_no_duplicate_residency():
                      if line.valid]
             assert len(valid) == len(sim.backup._where)
             assert dict(valid) == sim.backup._where
+            # Every BC key is the line number of a pool address.
+            assert set(sim.backup._where) <= pool_lines
 
 
 def test_bc_install_with_no_enabled_lines_faults():
