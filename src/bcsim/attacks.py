@@ -11,7 +11,7 @@ import random
 from array import array
 from typing import NamedTuple
 
-from .core import ADDR_LIMIT, CacheError, CacheGeometry, compose
+from .core import ADDR_LIMIT, CacheError, CacheGeometry, check_addr, compose
 from .simulator import KIND_CTXSWITCH, KIND_LOAD, ConfigError, SimConfig, Simulator
 
 _CTXSWITCH = (KIND_CTXSWITCH, None)
@@ -41,31 +41,35 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.R
     if _TTABLE_TAG_BASE << (geo.offset_bits + geo.index_bits) >= ADDR_LIMIT:
         raise ConfigError("line_bytes * sets leaves too few tag bits for the attack")
     tag_base = rng.randrange(1, _ATTACKER_TAG_SPACE)
-    set_lines = [[compose(tag_base + w, s, geo) for w in range(geo.ways)] for s in target_sets]
+    # Addresses by arithmetic, as compose builds them. The check above keeps the
+    # set lines' tags in range; filler tags rise, so only the highest is checked.
+    shift, offset = geo.offset_bits + geo.index_bits, geo.offset_bits
+    set_lines = [[tag << shift | s << offset for tag in range(tag_base, tag_base + geo.ways)]
+                 for s in target_sets]
     n_filler = filler_bytes // geo.line_bytes
-    spare = [s for s in range(geo.num_sets) if s not in target_sets]
+    targets = set(target_sets)
+    spare = [s for s in range(geo.num_sets) if s not in targets]
     if n_filler and not spare:
         raise CacheError("no non-target sets available for filler lines")
-    filler = [compose(tag_base + geo.ways + i // len(spare), spare[i % len(spare)], geo)
+    if n_filler and (tag_base + geo.ways + (n_filler - 1) // len(spare)) << shift >= ADDR_LIMIT:
+        check_addr(ADDR_LIMIT | spare[0] << offset)  # the first filler line compose would refuse
+    filler = [(tag_base + geo.ways + i // len(spare)) << shift | spare[i % len(spare)] << offset
               for i in range(n_filler)]
     return set_lines, filler
 
 
 def _prime_probe(sim: Simulator, groups: list[list[int]], prime: list[tuple],
                  victim: list[int]) -> list[int]:
-    """One round as one batch: prime each group (prime holds a load of each
+    """One round as two batches: prime each group (prime holds a load of each
     group's addresses, in order), context switch, load the victim's
-    addresses, context switch, probe in prime order; returns each group's
-    summed probe latency."""
+    addresses and context switch, unrecorded; then probe in prime order.
+    Returns each group's summed probe latency."""
+    sim.run(prime + [_CTXSWITCH] + [(KIND_LOAD, addr) for addr in victim] + [_CTXSWITCH])
     latencies: list[int] = []
-    sim.run(prime + [_CTXSWITCH] + [(KIND_LOAD, addr) for addr in victim] + [_CTXSWITCH] + prime,
-            latencies)
-    totals = []
-    end = len(latencies) - len(prime)
-    for group in groups:
-        start, end = end, end + len(group)
-        totals.append(sum(latencies[start:end]))
-    return totals
+    sim.run(prime, latencies)
+    probes = iter(latencies)
+    # Each group's slice of the probes, summed in C calls only.
+    return list(map(sum, map(itertools.islice, itertools.repeat(probes), map(len, groups))))
 
 
 def classify_threshold(latencies_0: list[int], latencies_1: list[int],

@@ -116,9 +116,9 @@ class BackupCache:
         return evicted
 
     def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
-        """Clear an enabled slot's line and move the slot to dst (invalid or
-        disabled, or used0 when insert refills it); returns the line's key
-        if it held dirty data."""
+        """Clear an enabled slot's line and move the slot to dst (invalid, or
+        used0 when insert refills it); returns the line's key if it held
+        dirty data."""
         line = self.lines[slot]
         src = self.invalid if not line.valid else self.used1 if line.used else self.used0
         del src[bisect_left(src, slot)]
@@ -152,8 +152,8 @@ class BackupCache:
         """Change the enabled-line count; returns dirty victims needing write-back.
 
         Growing enables the lowest disabled (hence invalid) slots. Shrinking
-        picks victims with the normal tiered policy, invalidates them, and
-        disables their slots.
+        picks victims with the normal tiered policy, one select_victim call
+        each, clears each one's slot in place, and disables them all at once.
         """
         if not self.min_size <= new_size <= self.max_size:
             raise CacheError(f"new size {new_size} outside [{self.min_size}, {self.max_size}]")
@@ -162,10 +162,19 @@ class BackupCache:
         if change > 0:
             self.invalid[:] = sorted(self.invalid + self.disabled[:change])
             del self.disabled[:change]
+        victims = []
         for _ in range(-change):
-            dirty_addr = self._empty(self.select_victim(), self.disabled)
-            if dirty_addr is not None:
-                writebacks.append(dirty_addr)
+            slot = self.select_victim()
+            line = self.lines[slot]
+            src = self.invalid if not line.valid else self.used1 if line.used else self.used0
+            del src[bisect_left(src, slot)]
+            if line.valid:
+                del self._where[line.addr]
+                if line.dirty:
+                    writebacks.append(line.addr)
+            line.valid = line.dirty = line.used = False
+            victims.append(slot)
+        self.disabled[:] = sorted(self.disabled + victims)
         return writebacks
 
     def state_tuple(self) -> tuple:

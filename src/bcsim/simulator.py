@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_left, insort
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -194,7 +195,10 @@ class Simulator:
         the line re-used, and a store hit also dirties it. The L2 fetch, the
         L1 install, the BC install with its victim draw and the L2 write-backs
         are inline too; resizes, context switches and invalidations are method
-        calls. latencies gets each access's latency; events gets each record's
+        calls. Backup-mode records come in chunks that end where the resize
+        countdown runs out (context switches and invalidations do not count), and
+        the resize runs between chunks, patched into the last access's event.
+        latencies gets each access's latency; events gets each record's
         result, as access, context_switch or external_invalidate returns it.
         A record of any other kind raises CacheError; the records before it
         stay applied.
@@ -206,74 +210,76 @@ class Simulator:
         config = self.config
         l1_cycles, l2_cycles = config.l1d.hit_cycles, config.l2.hit_cycles
         miss_cycles = l2_cycles + config.memory_penalty_cycles
+        # Locals: on CPython 3.11 a string compare that feeds a jump is specialised.
+        load_kind, store_kind = KIND_LOAD, KIND_STORE
         where = None
         if backup is not None:
             # clear_used, invalidate and resize mutate the tier lists in place,
             # so they may be held across those calls.
             where, lines, invalid = backup._where, backup.lines, backup.invalid
             used0, used1, getrandbits = backup.used0, backup.used1, backup.rng.getrandbits
-        # The countdown; in baseline mode it stays 1 and never runs out.
-        count = self.mem_access_count or 1
+        # The countdown, None in baseline mode: each chunk asks for count records,
+        # and an access is due for a resize when it ends a chunk of count accesses.
+        count, records = self.mem_access_count, iter(records)
         n00 = n01 = n10 = n11 = l2_hits = l2_misses = writebacks = resizes = switches = 0
-        invalidations = 0
+        invalidations = chunk_start = 0
         try:
-            for kind, addr in records:
-                store = kind == KIND_STORE
-                if not store and kind != KIND_LOAD:
-                    if kind == KIND_CTXSWITCH:
-                        switches += 1
-                        result = self.context_switch()
-                    elif kind == KIND_INVALIDATE:
-                        invalidations += 1
-                        result = self.external_invalidate(addr)
+            while True:
+                chunk_start, specials = n00 + n01 + n10 + n11, switches + invalidations
+                for kind, addr in records if count is None else islice(records, count):
+                    if kind == load_kind:
+                        store = False
+                    elif kind == store_kind:
+                        store = True
                     else:
-                        raise CacheError(f"unknown record kind {kind!r}")
-                    if events is not None:
-                        events.append(result)
-                    continue
-                # The one address check of an access: the paths below index
-                # the L1D, BC and L2 directly by its line number.
-                if addr >> ADDR_BITS:  # nonzero unless 0 <= addr < 2**48
-                    check_addr(addr)
-                line = addr >> offset
-                ways = l1_sets[line & l1_mask]
-                dirty = ways.pop(line, None)
-                bu_hit = False
-                if where is not None:
-                    slot = where.get(line)
-                    if slot is not None:
-                        bu_hit = True
-                        entry = lines[slot]
-                        if store:
-                            entry.dirty = True
-                        if not entry.used:
-                            entry.used = True
-                            del used0[bisect_left(used0, slot)]
-                            insort(used1, slot)
-                    count -= 1
-                if dirty is not None:
-                    # An L1D hit makes the line most recently used, and a
-                    # store dirties it.
-                    ways[line] = True if store else dirty
-                    if bu_hit:
-                        n11 += 1
-                    else:
-                        n10 += 1
-                    if count > 0:
+                        if kind == KIND_CTXSWITCH:
+                            switches += 1
+                            result = self.context_switch()
+                        elif kind == KIND_INVALIDATE:
+                            invalidations += 1
+                            result = self.external_invalidate(addr)
+                        else:
+                            raise CacheError(f"unknown record kind {kind!r}")
+                        if events is not None:
+                            events.append(result)
+                        continue
+                    # The one address check of an access: the paths below index
+                    # the L1D, BC and L2 directly by its line number.
+                    if addr >> ADDR_BITS:  # nonzero unless 0 <= addr < 2**48
+                        check_addr(addr)
+                    line = addr >> offset
+                    ways = l1_sets[line & l1_mask]
+                    dirty = ways.pop(line, None)
+                    slot = None  # stays None unless the BC holds the line
+                    if where is not None:
+                        slot = where.get(line)
+                        if slot is not None:
+                            entry = lines[slot]
+                            if store:
+                                entry.dirty = True
+                            if not entry.used:
+                                entry.used = True
+                                del used0[bisect_left(used0, slot)]
+                                insort(used1, slot)
+                    if dirty is not None:
+                        # An L1D hit makes the line most recently used, and a
+                        # store dirties it.
+                        ways[line] = True if store else dirty
+                        if slot is not None:
+                            n11 += 1
+                        else:
+                            n10 += 1
                         if latencies is not None:
                             latencies.append(l1_cycles)
                         if events is not None:
                             events.append(tuple.__new__(AccessOutcome, (
-                                "11" if bu_hit else "10", l1_cycles, None, (), None, None)))
+                                "11" if slot is not None else "10", l1_cycles, None, (), None, None)))
                         continue
-                    case = "11" if bu_hit else "10"
-                    latency, l2_hit, eviction, wbs = l1_cycles, None, None, ()
-                else:
                     # An L1D miss. On a BC hit the line fill happens after the response,
                     # and the BC keeps its copy, so the L1 copy is installed clean.
                     # Otherwise the line comes from the L2, which allocates it clean on
                     # a miss and drops its LRU victim (memory traffic is not modeled).
-                    if bu_hit:
+                    if slot is not None:
                         case, latency, l2_hit = "01", l1_cycles, None
                         n01 += 1
                         store = False
@@ -335,24 +341,35 @@ class Simulator:
                             entry.addr = eviction
                             where[eviction] = slot
                     ways[line] = store
-                resized = None
-                if count <= 0:
-                    resized, written_back = self._resize()
-                    count = self.mem_access_count
-                    resizes += 1
-                    wbs += written_back
-                writebacks += len(wbs)
-                if latencies is not None:
-                    latencies.append(latency)
+                    writebacks += len(wbs)
+                    if latencies is not None:
+                        latencies.append(latency)
+                    if events is not None:
+                        # In byte addresses, by the namedtuple's generated __new__ without its frame.
+                        events.append(tuple.__new__(AccessOutcome, (
+                            case, latency, None if eviction is None else eviction << offset,
+                            tuple([wb << offset for wb in wbs]), None, l2_hit)))
+                if count is None:
+                    break
+                accessed = n00 + n01 + n10 + n11 - chunk_start
+                if accessed < count:
+                    if accessed + switches + invalidations - specials < count:
+                        break  # the records ran out
+                    count -= accessed
+                    continue
+                # The chunk's last access ran the countdown out: the resize is its event's.
+                resized, written_back = self._resize()
+                count = self.mem_access_count
+                resizes += 1
+                writebacks += len(written_back)
                 if events is not None:
-                    # In byte addresses, by the namedtuple's generated __new__ without its frame.
-                    events.append(tuple.__new__(AccessOutcome, (
-                        case, latency, None if eviction is None else eviction << offset,
-                        tuple([wb << offset for wb in wbs]), resized, l2_hit)))
+                    event = events[-1]
+                    events[-1] = event._replace(resized=resized, writebacks=event.writebacks + tuple(
+                        [wb << offset for wb in written_back]))
         finally:
             # Also when a record raises: the accesses before it keep their countdown.
             if backup is not None:
-                self.mem_access_count = count
+                self.mem_access_count = count - (n00 + n01 + n10 + n11 - chunk_start)
         # Positional, in field order: twelve keywords would cost a one-access run a quarter
         # of its time.
         return SimStats(n00 + n01 + n10 + n11, {"00": n00, "01": n01, "10": n10, "11": n11},

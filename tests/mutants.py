@@ -14,14 +14,15 @@ first run once on the unmutated copy, which must pass. The exit code is 0
 only if every mutant was killed.
 
 The file name has no test_ prefix, so Tier-1 never collects it. The
-anchors are the text of Simulator.run (its line-number key and the
-conversion of its events back to byte addresses among them) and of the
-cache methods it and its cold paths (resize, context switch) call, of the
-attacks' prime, victim and probe steps, of the trace file's block parse,
-of cli.dump_config, of the module-level imports of cli, simulator and
-core, of the cache size cap, of the config file's integer bound and of
-the checked _replace of CacheGeometry: a change to that text must update
-this table, not drop a row.
+anchors are the text of Simulator.run (its line-number key, its countdown
+chunks and the conversion of its events back to byte addresses among
+them) and of the cache methods it and its cold paths (resize, context
+switch) call, of the attacks' prime, victim and probe steps, of the
+trace file's block parse and its read, of cli.dump_config, of the
+module-level imports of cli, simulator and core, of the cache size cap,
+of the config file's integer bound and of the checked _replace of
+CacheGeometry: a change to that text must update this table, not drop a
+row.
 """
 
 import os
@@ -36,6 +37,7 @@ from typing import NamedTuple
 REPO = Path(__file__).resolve().parent.parent
 
 BATCH = "tests/test_reference.py::test_batch_run_matches_reference"
+BAD_RECORD = "tests/test_reference.py::test_bad_record_keeps_the_countdown_of_the_records_before_it"
 TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
 STREAMS = "tests/test_golden.py::test_outcome_stream"
 GOLDEN = "tests/test_golden.py::test_golden"
@@ -111,8 +113,8 @@ MUTANTS = [
            "                                        pass",
            (BATCH, STREAMS)),
     Mutant("bc-store-probe-not-dirty", "simulator.py",
-           "if store:\n                            entry.dirty = True",
-           "if store:\n                            pass",
+           "if store:\n                                entry.dirty = True",
+           "if store:\n                                pass",
            (BATCH, STREAMS)),
     Mutant("l1-store-probe-not-dirty", "simulator.py",
            "ways[line] = True if store else dirty",
@@ -130,17 +132,32 @@ MUTANTS = [
            "line = addr >> offset\n",
            "line = (addr >> offset) & 0xFFFFFFFF\n",
            WIDE),
+    # Every hit takes the fast path; the resize of a chunk that ends on one
+    # must still reach that hit's event.
     Mutant("fast-path-takes-every-hit", "simulator.py",
-           "                    if count > 0:\n",
-           "                    if True:\n",
+           "if events is not None:\n                    event = events[-1]",
+           "if events is not None and dirty is None:\n                    event = events[-1]",
+           (BATCH, STREAMS,
+            "tests/test_simulator.py::test_resizing_l1_hit_carries_its_resize")),
+    Mutant("resize-event-not-patched", "simulator.py",
+           "events[-1] = event._replace(",
+           "event._replace(",
+           (BATCH, STREAMS)),
+    Mutant("countdown-counts-specials", "simulator.py",
+           "count -= accessed\n",
+           "count -= accessed + switches + invalidations - specials\n",
            (BATCH, TRACE, STREAMS)),
+    Mutant("countdown-lost-on-raise", "simulator.py",
+           "self.mem_access_count = count - (n00 + n01 + n10 + n11 - chunk_start)",
+           "self.mem_access_count = count",
+           (BAD_RECORD,)),
     Mutant("hit-event-case-swapped", "simulator.py",
-           'AccessOutcome, (\n                                "11" if bu_hit else "10",',
-           'AccessOutcome, (\n                                "10" if bu_hit else "11",',
+           'AccessOutcome, (\n                                "11" if slot is not None else "10",',
+           'AccessOutcome, (\n                                "10" if slot is not None else "11",',
            (BATCH, STREAMS)),
     Mutant("unknown-kind-runs-as-load", "simulator.py",
-           "if not store and kind != KIND_LOAD:",
-           "if not store and kind != KIND_LOAD and kind in (KIND_CTXSWITCH, KIND_INVALIDATE):",
+           "if kind == load_kind:",
+           "if kind == load_kind or kind not in (store_kind, KIND_CTXSWITCH, KIND_INVALIDATE):",
            ("tests/test_simulator.py::test_run_rejects_unknown_record_kind",)),
     Mutant("dropped-hit-latency", "simulator.py",
            "(n01 + n10 + n11) * l1_cycles",
@@ -167,8 +184,8 @@ MUTANTS = [
            "        del self.used1[1:]\n",
            (BATCH, STREAMS)),
     Mutant("probe-window-off-by-one", "attacks.py",
-           "end = len(latencies) - len(prime)",
-           "end = len(latencies) - len(prime) - 1",
+           "probes = iter(latencies)",
+           "probes = iter([0] + latencies)",
            (TOUCH_MODEL, GOLDEN)),
     Mutant("aes-line-ignores-key", "attacks.py",
            "((plaintext[i] ^ key[i]) >> 4)",
@@ -236,6 +253,10 @@ MUTANTS = [
            "elif type(value) is int and value.bit_length() > 63:",
            "elif False:",
            ("tests/test_config_gate.py",)),
+    Mutant("trace-decode-error-escapes", "cli.py",
+           "            return parse_trace(fh)\n    except (OSError, UnicodeDecodeError) as exc:",
+           "            return parse_trace(fh)\n    except OSError as exc:",
+           ("tests/test_config_gate.py::test_any_trace_text_exits_with_a_documented_code",)),
     Mutant("dataclasses-at-module-level", "core.py",
            "from typing import NamedTuple, Optional\n",
            "import dataclasses\nfrom typing import NamedTuple, Optional\n",

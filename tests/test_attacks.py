@@ -14,7 +14,7 @@ from bcsim.attacks import (
     run_aes_attack,
     run_single_set_attack,
 )
-from bcsim.core import CacheError, CacheGeometry
+from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry, compose
 from bcsim.simulator import SimConfig, Simulator, backup_config, baseline_config
 
 GEO = SimConfig().l1d
@@ -75,6 +75,46 @@ def test_eviction_set_properties(targets, n_filler, seed):
     assert len(set(lines)) == len(lines)
     again = build_eviction_set(GEO, targets, filler_bytes=filler_bytes, rng=random.Random(seed))
     assert all_lines(again) == lines
+
+
+def composed_eviction_set(geo, target_sets, rng, filler_bytes):
+    """build_eviction_set's result built line by line through compose, which
+    checks each line's set index and address."""
+    tag_base = rng.randrange(1, 1 << 20)
+    set_lines = [[compose(tag_base + w, s, geo) for w in range(geo.ways)] for s in target_sets]
+    spare = [s for s in range(geo.num_sets) if s not in target_sets]
+    filler = [compose(tag_base + geo.ways + i // len(spare), spare[i % len(spare)], geo)
+              for i in range(filler_bytes // geo.line_bytes)]
+    return set_lines, filler
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(line_bytes=st.sampled_from([1, 16, 64, 256]), num_sets=st.sampled_from([1, 2, 64, 1024]),
+       ways=st.integers(1, 16), seed=st.integers(0, 2**32), data=st.data())
+def test_eviction_set_lines_are_the_composed_ones(line_bytes, num_sets, ways, seed, data):
+    geo = CacheGeometry(line_bytes, num_sets, ways, 3)
+    targets = data.draw(st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=8,
+                                 unique=True))
+    n_filler = data.draw(st.integers(0, 0 if len(targets) == num_sets else 200))
+    assert (build_eviction_set(geo, targets, random.Random(seed), n_filler * line_bytes)
+            == composed_eviction_set(geo, targets, random.Random(seed), n_filler * line_bytes))
+
+
+@pytest.mark.parametrize("spare", [0, 300])
+def test_eviction_set_refuses_filler_past_the_address_space_as_compose_does(spare):
+    """With 19 offset and index bits, tag 2**29 is the first past the
+    address space. Filler reaching it is refused, before any line is built,
+    with compose's error for the first filler line that carries it."""
+    geo = CacheGeometry(1024, 512, 4, 3)
+    first_bad_tag = ADDR_LIMIT >> 19
+    tag_base = random.Random(0).randrange(1, 1 << 20)
+    n_filler = first_bad_tag - tag_base - geo.ways + 1  # one spare set: one line per tag
+    with pytest.raises(CacheError) as want:
+        compose(first_bad_tag, spare, geo)
+    with pytest.raises(CacheError) as got:
+        build_eviction_set(geo, [s for s in range(512) if s != spare], random.Random(0),
+                           n_filler * geo.line_bytes)
+    assert str(got.value) == str(want.value)
 
 
 def test_eviction_set_filler_needs_spare_sets():

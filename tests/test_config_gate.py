@@ -1,6 +1,7 @@
-"""Property gate for config files: every YAML mapping of the config keys,
-whatever its values, makes `bcsim sim --config` exit with a documented
-code (0-4), and no exception escapes main.
+"""Property gates for the input files of `bcsim sim`: every YAML mapping
+of the config keys, whatever its values, given as --config, and every
+trace text, whatever its characters, given as --trace, make sim exit with
+a documented code (0-4), and no exception escapes main.
 
 The runs share one worker process whose address space is capped at
 512 MiB, set in the worker only, so a size that slipped past its cap
@@ -22,19 +23,23 @@ from bcsim.cli import _SCHEMA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Reads one JSON-encoded config text per stdin line, runs sim with it and
-# answers one JSON line: the exit code, or the exception that escaped main.
+# Reads one JSON-encoded [option, text] pair per stdin line, writes the
+# text to a file (a lone surrogate as the invalid UTF-8 it encodes to) and
+# runs sim with that file as --config (and the fixed trace) or as --trace.
+# Answers one JSON line: the exit code, or the exception that escaped main.
 _WORKER = """
 import contextlib, io, json, resource, sys, traceback
 resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 from bcsim.cli import main
-trace, config, out = sys.argv[1:]
+trace, path, out = sys.argv[1:]
 for line in sys.stdin:
-    with open(config, "w", encoding="utf-8") as fh:
-        fh.write(json.loads(line))
+    option, text = json.loads(line)
+    with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+        fh.write(text)
+    argv = ["sim", option, path, *(["--trace", trace] if option == "--config" else [])]
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            report = {"rc": main(["sim", "--config", config, "--trace", trace, "--out", out])}
+            report = {"rc": main([*argv, "--out", out])}
     except Exception:
         report = {"escaped": traceback.format_exc(limit=-3)}
     print(json.dumps(report), flush=True)
@@ -42,8 +47,8 @@ for line in sys.stdin:
 
 
 @pytest.fixture(scope="module")
-def run_config(tmp_path_factory):
-    """A function of config text to the report of one sim run in the worker."""
+def run_sim(tmp_path_factory):
+    """A function of (option, file text) to the report of one sim run in the worker."""
     work = tmp_path_factory.mktemp("config-gate")
     trace = work / "t.trace"
     trace.write_text("R 0x40\nW 0x80\nCS\nINV 0x40\n" + "".join(
@@ -52,14 +57,14 @@ def run_config(tmp_path_factory):
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     procs = []
 
-    def run(text: str) -> dict:
+    def run(option: str, text: str) -> dict:
         if not procs or procs[-1].poll() is not None:  # a worker that died is replaced
             procs.append(subprocess.Popen(
-                [sys.executable, "-c", _WORKER, str(trace), str(work / "c.yaml"),
+                [sys.executable, "-c", _WORKER, str(trace), str(work / "input"),
                  str(work / "o.txt")], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 text=True, env=env))
         proc = procs[-1]
-        proc.stdin.write(json.dumps(text) + "\n")
+        proc.stdin.write(json.dumps([option, text]) + "\n")
         proc.stdin.flush()
         answer = proc.stdout.readline()
         return json.loads(answer) if answer else {"escaped": f"worker died, {proc.wait()}"}
@@ -140,7 +145,39 @@ _CONFIGS = st.fixed_dictionaries({}, optional={key: _value(name) for key, name i
 # Both levels at the line cap: building them takes more memory than the worker's limit.
 @example(mapping={"l1d": {"sets": 4194304, "ways": 1}, "l2": {"sets": 4194304, "ways": 1}})
 @given(mapping=_CONFIGS)
-def test_any_config_mapping_exits_with_a_documented_code(run_config, mapping):
-    report = run_config(yaml.dump(mapping, Dumper=_Dumper))
+def test_any_config_mapping_exits_with_a_documented_code(run_sim, mapping):
+    report = run_sim("--config", yaml.dump(mapping, Dumper=_Dumper))
+    assert "escaped" not in report, report["escaped"]
+    assert report["rc"] in range(5)
+
+
+# Trace lines: any code points (lone surrogates included), lines near the
+# grammar with any separator and hex digits past 12, and long runs.
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_NEAR_LINES = st.builds(
+    lambda op, sep, prefix, digits, tail: f"{op}{sep}{prefix}{digits}{tail}",
+    st.sampled_from(["R", "W", "INV", "CS", "r", "", "R W"]),
+    st.sampled_from([" ", "  ", "\t", "\x00", "\r", "\x0b", "\x1c", "\x85", "\u3000", ""]),
+    st.sampled_from(["0x", "0X", "", "-0x", "0x0x"]),
+    st.text(_HEX_DIGITS, max_size=20) | st.integers(13, 400).map(lambda n: "f" * n),
+    st.sampled_from(["", " # note", "#", " 0x40", "\x00", "\ufeff"]))
+_LONG_LINES = st.builds(lambda unit, n: unit * n, st.text(min_size=1, max_size=3),
+                        st.integers(1000, 30_000))
+_TRACE_LINES = (st.text(st.characters(blacklist_categories=()), max_size=30) | _NEAR_LINES
+                | _LONG_LINES | st.sampled_from(["CS", "", "R 0x40", "W 0xfffffffffffc", "# c"]))
+_TRACES = st.builds(lambda lines, newline: newline.join(lines),
+                    st.lists(_TRACE_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@example(text="R\x000x40\n\x00\n")
+@example(text="R 0x" + "0" * 100_000 + "40\n")
+@example(text="W 0x" + "f" * 5000 + "\n")
+@example(text="R 0x40\rCS\r\nINV 0x40\r")
+@example(text="R 0x\udc80\n")
+@example(text="R 0x1" + "0" * 12 + "\n")
+@given(text=_TRACES)
+def test_any_trace_text_exits_with_a_documented_code(run_sim, text):
+    report = run_sim("--trace", text)
     assert "escaped" not in report, report["escaped"]
     assert report["rc"] in range(5)

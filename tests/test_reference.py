@@ -1,14 +1,14 @@
 """Differential tests: the simulator against the reference model in reference.py,
-op by op and as one batch, over tiny configs where conflicts, resizes and BC
-evictions are common, on addresses below 512 and across the whole 48-bit
-address space."""
+op by op, as one batch and as batches cut anywhere (a bad record among them
+included), over tiny configs where conflicts, resizes and BC evictions are
+common, on addresses below 512 and across the whole 48-bit address space."""
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
-from bcsim.core import ADDR_LIMIT, CacheGeometry
+from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry
 from bcsim.simulator import (
     KIND_CTXSWITCH,
     KIND_INVALIDATE,
@@ -17,6 +17,7 @@ from bcsim.simulator import (
     MODE_BACKUP,
     MODE_BASELINE,
     SimConfig,
+    SimStats,
     Simulator,
 )
 
@@ -103,19 +104,39 @@ def test_simulator_matches_reference_across_the_address_space(config, ops):
 OP_KINDS = {"R": KIND_LOAD, "W": KIND_STORE, "CS": KIND_CTXSWITCH, "INV": KIND_INVALIDATE}
 
 
-def check_batch(config, ops):
-    """The whole op list as one Simulator.run, with both sinks: its events,
-    latencies, stats and final state equal the reference model's, applied
-    op by op."""
-    records = [(OP_KINDS[op], None if op == "CS" else addr) for op, addr in ops]
-    sim, ref = Simulator(config), RefSimulator(config)
-    latencies, events = [], []
-    stats = sim.run(records, latencies, events)
+def to_records(ops):
+    return [(OP_KINDS[op], None if op == "CS" else addr) for op, addr in ops]
+
+
+def assert_same_results(ops, events, latencies, ref):
+    """Simulator.run's events and latencies for ops equal the reference
+    model's, which applies ops op by op."""
     expected = [apply(ref, op, addr) for op, addr in ops]
     assert len(events) == len(expected)
     for step, ((op, addr), event, want) in enumerate(zip(ops, events, expected)):
         assert (event if op in ("CS", "INV") else tuple(event)) == want, (step, op, addr)
     assert latencies == [want[1] for (op, _), want in zip(ops, expected) if op in ("R", "W")]
+
+
+def summed(stats):
+    """One SimStats holding the field sums of several."""
+    return SimStats(**{name: sum(getattr(s, name) for s in stats)
+                       for name in SimStats._fields if name != "case_counts"},
+                    case_counts={case: sum(s.case_counts[case] for s in stats)
+                                 for case in ("00", "01", "10", "11")})
+
+
+def check_batch(config, ops, cuts=()):
+    """The op list as Simulator.run batches, cut before each index in cuts
+    (none: one batch), with both sinks: their events, latencies, summed
+    stats and final state equal the reference model's, applied op by op."""
+    records = to_records(ops)
+    sim, ref = Simulator(config), RefSimulator(config)
+    latencies, events = [], []
+    bounds = [0, *cuts, len(records)]
+    stats = summed([sim.run(records[start:end], latencies, events)
+                    for start, end in zip(bounds, bounds[1:])])
+    assert_same_results(ops, events, latencies, ref)
     assert stats.as_dict() == run_trace_unpacked(RefSimulator(config), records).as_dict()
     assert_same_state(sim, ref)
 
@@ -130,6 +151,38 @@ def test_batch_run_matches_reference(config, ops):
 @given(config=tiny_configs(), ops=WIDE_OPS)
 def test_batch_run_matches_reference_across_the_address_space(config, ops):
     check_batch(config, ops)
+
+
+# fixed_threshold 1-5 ends the countdown's chunks every few records, so the
+# cuts and the bad record below fall at every place relative to a chunk end.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=OPS,
+       cuts=st.lists(st.integers(0, 60), max_size=3).map(sorted))
+def test_runs_cut_anywhere_match_reference(config, ops, cuts):
+    """The op list split into 1-4 Simulator.run batches at drawn points: the
+    countdown carries across batch ends as it does across chunk ends."""
+    check_batch(config, ops, [min(cut, len(ops)) for cut in cuts])
+
+
+# An unknown kind, and an address one past the 48-bit space under each kind that takes one.
+BAD_RECORDS = [("bogus", 0x40), (KIND_LOAD, ADDR_LIMIT), (KIND_STORE, ADDR_LIMIT),
+               (KIND_INVALIDATE, ADDR_LIMIT)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=tiny_configs(), ops=OPS, at=st.integers(0, 60), bad=st.sampled_from(BAD_RECORDS))
+def test_bad_record_keeps_the_countdown_of_the_records_before_it(config, ops, at, bad):
+    """A bad record inserted at a drawn index raises CacheError, and the
+    simulator is left as the reference is after the ops before it, countdown
+    included, wherever in its chunk the record falls."""
+    at = min(at, len(ops))
+    records = to_records(ops)
+    sim, ref = Simulator(config), RefSimulator(config)
+    latencies, events = [], []
+    with pytest.raises(CacheError):
+        sim.run(records[:at] + [bad] + records[at:], latencies, events)
+    assert_same_results(ops[:at], events, latencies, ref)
+    assert_same_state(sim, ref)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
