@@ -58,18 +58,17 @@ def build_eviction_set(geo: CacheGeometry, target_sets: list[int], rng: random.R
     return set_lines, filler
 
 
-def _prime_probe(sim: Simulator, groups: list[list[int]], prime: list[tuple],
+def _prime_probe(sim: Simulator, group_len: int, prime: list[tuple],
                  victim: list[int]) -> list[int]:
-    """One round as two batches: prime each group (prime holds a load of each
-    group's addresses, in order), context switch, load the victim's
-    addresses and context switch, unrecorded; then probe in prime order.
-    Returns each group's summed probe latency."""
+    """One round as two batches: prime (a load of each group's addresses,
+    group after group, group_len loads each), context switch, load the
+    victim's addresses and context switch, unrecorded; then probe in prime
+    order. Returns each group's summed probe latency."""
     sim.run(prime + [_CTXSWITCH] + [(KIND_LOAD, addr) for addr in victim] + [_CTXSWITCH])
     latencies: list[int] = []
     sim.run(prime, latencies)
-    probes = iter(latencies)
-    # Each group's slice of the probes, summed in C calls only.
-    return list(map(sum, map(itertools.islice, itertools.repeat(probes), map(len, groups))))
+    # Deal the probes out into tuples of one group each, summed in C calls only.
+    return list(map(sum, zip(*[iter(latencies)] * group_len)))
 
 
 def classify_threshold(latencies_0: list[int], latencies_1: list[int],
@@ -110,14 +109,13 @@ def run_single_set_attack(config: SimConfig, secret_bits: list[int],
     geo = config.l1d
     (lines,), filler = build_eviction_set(geo, [TARGET_SET], random.Random(config.seed),
                                           filler_bytes)
-    groups = [lines + filler]
-    prime = [(KIND_LOAD, addr) for addr in groups[0]]
+    prime = [(KIND_LOAD, addr) for addr in lines + filler]
     latencies = []
     victim_tags = itertools.count(_VICTIM_TAG_BASE)
     for bit in secret_bits:
         victim = [compose(next(victim_tags), TARGET_SET, geo)
                   for _ in range(geo.ways)] if bit else []
-        latencies.extend(_prime_probe(sim, groups, prime, victim))
+        latencies.extend(_prime_probe(sim, len(prime), prime, victim))
     lat0 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 0]
     lat1 = [lat for bit, lat in zip(secret_bits, latencies) if bit == 1]
     predicted, _, degenerate = classify_threshold(lat0, lat1, latencies)
@@ -170,6 +168,6 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes) -> AesAttackRe
         victim = [table_lines[(i % 4) * _LINES_PER_TABLE + ((plaintext[i] ^ key[i]) >> 4)]
                   for i in range(16)]
         row = sample * N_TTABLE_SETS
-        latencies[row:row + N_TTABLE_SETS] = array("q", _prime_probe(sim, groups, prime, victim))
+        latencies[row:row + N_TTABLE_SETS] = array("q", _prime_probe(sim, geo.ways, prime, victim))
     return AesAttackResult(latencies=memoryview(latencies).cast("B").cast("q", shape)[:n_samples],
                            plaintexts=plaintexts)

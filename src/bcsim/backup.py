@@ -25,20 +25,22 @@ class BackupCache:
     once (lookup): a hit sets the used bit, and a store hit also sets dirty.
     Used bits are cleared in bulk at context switches.
 
-    Every physical slot sits in exactly one of four slot lists, each kept
-    in ascending slot order. A state change moves the slot where it
-    happens, by one bisect_left deletion and one insort:
+    Every physical slot sits in exactly one of three slot lists, each kept
+    in ascending slot order:
       * disabled -- slots outside the enabled size; they never hold data
                     and are invisible to lookups;
       * invalid  -- enabled slots holding no line;
-      * used1    -- enabled slots holding a line with used=1;
-      * used0    -- enabled slots holding a line with used=0.
+      * resident -- enabled slots holding a line.
+    A fourth list, used1, holds the resident slots whose line has used=1,
+    also in slot order. A line's first hit insorts its slot there, and
+    clear_used empties it; neither moves a slot in or out of resident.
 
     Victim selection is tiered: an invalid slot first, then a uniform
-    random draw among used1, then among used0; a draw indexes a list
-    instead of scanning the lines. The enabled size, max_size minus the
-    disabled slots, can be resized between min_size and max_size, the
-    physical number of lines. Every method changes the lists in place, so
+    random draw among used1, then among resident, which equals the used=0
+    lines whenever used1 is empty; a draw indexes a list instead of
+    scanning the lines. The enabled size, max_size minus the disabled
+    slots, can be resized between min_size and max_size, the physical
+    number of lines. Every method changes the lists in place, so
     Simulator.run may hold them across its calls.
     """
 
@@ -55,8 +57,8 @@ class BackupCache:
         self._where: dict[int, int] = {}
         self.disabled = list(range(initial_size, max_size))
         self.invalid = list(range(initial_size))
+        self.resident: list[int] = []
         self.used1: list[int] = []
-        self.used0: list[int] = []
 
     @property
     def current_size(self) -> int:
@@ -77,8 +79,6 @@ class BackupCache:
             line.dirty = True
         if not line.used:
             line.used = True
-            used0 = self.used0
-            del used0[bisect_left(used0, slot)]
             insort(self.used1, slot)
         return True
 
@@ -88,7 +88,7 @@ class BackupCache:
 
     def select_victim(self) -> int:
         """Tiered random victim choice among enabled lines."""
-        for tier in (self.invalid, self.used1, self.used0):
+        for tier in (self.invalid, self.used1, self.resident):
             if tier:
                 # Random.choice's own draw, without its two Python frames:
                 # getrandbits(k), redrawn until it falls below n.
@@ -102,50 +102,46 @@ class BackupCache:
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
         """Take in an L1D victim clean, with used=0, unless it is resident; returns the displaced
-        (key, dirty) pair, if any. select_victim draws the slot and _empty moves it to used0.
-        Simulator.run inlines it; kept for perfbench/tracer.py, which patches it (ROADMAP 1/3)."""
+        (key, dirty) pair, if any. select_victim draws the slot: an invalid one joins resident,
+        and a used one leaves used1. Simulator.run inlines it; kept for perfbench/tracer.py,
+        which patches it (ROADMAP 1/3)."""
         if addr in self._where:
             return None
         slot = self.select_victim()
         line = self.lines[slot]
-        evicted = (line.addr, line.dirty) if line.valid else None
-        self._empty(slot, self.used0)
-        line.valid = True
-        line.addr = addr
+        evicted = None
+        if line.valid:
+            evicted = (line.addr, line.dirty)
+            del self._where[line.addr]
+            if line.used:
+                del self.used1[bisect_left(self.used1, slot)]
+        else:
+            del self.invalid[bisect_left(self.invalid, slot)]
+            insort(self.resident, slot)
+        line.valid, line.dirty, line.used, line.addr = True, False, False, addr
         self._where[addr] = slot
         return evicted
 
-    def _empty(self, slot: int, dst: list[int]) -> Optional[int]:
-        """Clear an enabled slot's line and move the slot to dst (invalid, or
-        used0 when insert refills it); returns the line's key if it held
-        dirty data."""
-        line = self.lines[slot]
-        src = self.invalid if not line.valid else self.used1 if line.used else self.used0
-        del src[bisect_left(src, slot)]
-        insort(dst, slot)
-        dirty_addr = None
-        if line.valid:
-            del self._where[line.addr]
-            if line.dirty:
-                dirty_addr = line.addr
-        line.valid = line.dirty = line.used = False
-        return dirty_addr
-
     def invalidate(self, addr: int) -> bool:
         """Drop the line if resident; dirty contents are discarded."""
-        slot = self._where.get(addr)
+        slot = self._where.pop(addr, None)
         if slot is None:
             return False
-        self._empty(slot, self.invalid)
+        line = self.lines[slot]
+        del self.resident[bisect_left(self.resident, slot)]
+        if line.used:
+            del self.used1[bisect_left(self.used1, slot)]
+        insort(self.invalid, slot)
+        line.valid = line.dirty = line.used = False
         return True
 
     def clear_used(self) -> int:
         """Clear every used bit; returns how many were set."""
-        for slot in self.used1:
-            self.lines[slot].used = False
-        count = len(self.used1)
-        self.used0[:] = sorted(self.used0 + self.used1)
-        self.used1.clear()
+        used1, lines = self.used1, self.lines
+        for slot in used1:
+            lines[slot].used = False
+        count = len(used1)
+        used1.clear()
         return count
 
     def resize(self, new_size: int) -> list[int]:
@@ -162,13 +158,16 @@ class BackupCache:
         if change > 0:
             self.invalid[:] = sorted(self.invalid + self.disabled[:change])
             del self.disabled[:change]
-        victims = []
+        victims, invalid, resident, used1 = [], self.invalid, self.resident, self.used1
         for _ in range(-change):
             slot = self.select_victim()
             line = self.lines[slot]
-            src = self.invalid if not line.valid else self.used1 if line.used else self.used0
-            del src[bisect_left(src, slot)]
-            if line.valid:
+            if not line.valid:
+                del invalid[bisect_left(invalid, slot)]
+            else:
+                del resident[bisect_left(resident, slot)]
+                if line.used:
+                    del used1[bisect_left(used1, slot)]
                 del self._where[line.addr]
                 if line.dirty:
                     writebacks.append(line.addr)

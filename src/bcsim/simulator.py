@@ -1,7 +1,7 @@
 """Memory hierarchy controller: L1D + backup cache + L2, latency accounting, resizing."""
 
 import random
-from bisect import bisect_left, insort
+from bisect import insort
 from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -214,10 +214,10 @@ class Simulator:
         load_kind, store_kind = KIND_LOAD, KIND_STORE
         where = None
         if backup is not None:
-            # clear_used, invalidate and resize mutate the tier lists in place,
+            # clear_used, invalidate and resize mutate the slot lists in place,
             # so they may be held across those calls.
             where, lines, invalid = backup._where, backup.lines, backup.invalid
-            used0, used1, getrandbits = backup.used0, backup.used1, backup.rng.getrandbits
+            resident, used1, getrandbits = backup.resident, backup.used1, backup.rng.getrandbits
         # The countdown, None in baseline mode: each chunk asks for count records,
         # and an access is due for a resize when it ends a chunk of count accesses.
         count, records = self.mem_access_count, iter(records)
@@ -259,7 +259,6 @@ class Simulator:
                                 entry.dirty = True
                             if not entry.used:
                                 entry.used = True
-                                del used0[bisect_left(used0, slot)]
                                 insort(used1, slot)
                     if dirty is not None:
                         # An L1D hit makes the line most recently used, and a
@@ -311,10 +310,11 @@ class Simulator:
                             if eviction in wb_set:
                                 wb_set[eviction] = True
                             wbs = (eviction,)
+                            writebacks += 1
                         if where is not None and eviction not in where:
-                            # select_victim's draw from the first non-empty tier of
-                            # invalid, used1 and used0: getrandbits(k) below n.
-                            tier = invalid or used1 or used0
+                            # select_victim's draw, getrandbits(k) below n, from the first non-empty
+                            # of invalid, used1 and resident, reached only when no line has used=1.
+                            tier = invalid or used1 or resident
                             n = len(tier)
                             if not n:
                                 raise CacheError("no enabled line to select a victim from")
@@ -324,10 +324,9 @@ class Simulator:
                                 r = getrandbits(k)
                             slot = tier[r]
                             entry = lines[slot]
-                            if tier is not used0:  # the slot moves to used0
-                                del tier[r]
-                                insort(used0, slot)
-                            if entry.valid:
+                            if entry.valid:  # the slot stays resident, with used=0
+                                if tier is used1:
+                                    del used1[r]
                                 displaced = entry.addr
                                 del where[displaced]
                                 if entry.dirty:
@@ -335,13 +334,15 @@ class Simulator:
                                     if displaced in wb_set:
                                         wb_set[displaced] = True
                                     wbs += (displaced,)
+                                    writebacks += 1
                                 entry.dirty = entry.used = False
                             else:  # an invalid line's dirty and used bits are clear
+                                del invalid[r]
+                                insort(resident, slot)
                                 entry.valid = True
                             entry.addr = eviction
                             where[eviction] = slot
                     ways[line] = store
-                    writebacks += len(wbs)
                     if latencies is not None:
                         latencies.append(latency)
                     if events is not None:

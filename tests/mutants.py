@@ -65,12 +65,12 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("swapped-used-tiers", "backup.py",
-           "for tier in (self.invalid, self.used1, self.used0):",
-           "for tier in (self.invalid, self.used0, self.used1):",
+           "for tier in (self.invalid, self.used1, self.resident):",
+           "for tier in (self.invalid, self.resident, self.used1):",
            (BATCH, STREAMS)),
     Mutant("invalid-tier-skipped", "backup.py",
-           "for tier in (self.invalid, self.used1, self.used0):",
-           "for tier in (self.used1, self.used0, self.invalid):",
+           "for tier in (self.invalid, self.used1, self.resident):",
+           "for tier in (self.used1, self.resident, self.invalid):",
            (BATCH, STREAMS)),
     Mutant("l1-lru-off-by-one", "simulator.py",
            "eviction = next(iter(ways))",
@@ -85,9 +85,14 @@ MUTANTS = [
            "victim = list(ways)[min(1, len(ways) - 1)]",
            ("tests/test_core.py",)),
     Mutant("kernel-swapped-used-tiers", "simulator.py",
-           "tier = invalid or used1 or used0",
-           "tier = invalid or used0 or used1",
+           "tier = invalid or used1 or resident",
+           "tier = invalid or resident or used1",
            (BATCH, STREAMS)),
+    # A draw indexes used1, so it must stay in slot order, as the reference's scan is.
+    Mutant("bc-hit-unsorted-used1", "simulator.py",
+           "insort(used1, slot)",
+           "used1.append(slot)",
+           (GOLDEN, BATCH)),
     Mutant("kernel-empty-tier-guard-dropped", "simulator.py",
            "if not n:\n",
            "if False:\n",
@@ -172,28 +177,26 @@ MUTANTS = [
            "        if change > 0:\n            change -= 1\n",
            (BATCH, "tests/test_backup.py")),
     Mutant("context-switch-leaves-one-used-bit", "backup.py",
-           "        for slot in self.used1:\n"
-           "            self.lines[slot].used = False\n"
-           "        count = len(self.used1)\n"
-           "        self.used0[:] = sorted(self.used0 + self.used1)\n"
-           "        self.used1.clear()\n",
-           "        for slot in self.used1[1:]:\n"
-           "            self.lines[slot].used = False\n"
-           "        count = len(self.used1)\n"
-           "        self.used0[:] = sorted(self.used0 + self.used1[1:])\n"
-           "        del self.used1[1:]\n",
+           "        for slot in used1:\n"
+           "            lines[slot].used = False\n"
+           "        count = len(used1)\n"
+           "        used1.clear()\n",
+           "        for slot in used1[1:]:\n"
+           "            lines[slot].used = False\n"
+           "        count = len(used1)\n"
+           "        del used1[1:]\n",
            (BATCH, STREAMS)),
     Mutant("probe-window-off-by-one", "attacks.py",
-           "probes = iter(latencies)",
-           "probes = iter([0] + latencies)",
+           "zip(*[iter(latencies)] * group_len)",
+           "zip(*[iter([0] + latencies)] * group_len)",
            (TOUCH_MODEL, GOLDEN)),
     Mutant("aes-line-ignores-key", "attacks.py",
            "((plaintext[i] ^ key[i]) >> 4)",
            "(plaintext[i] >> 4)",
            (TOUCH_MODEL,)),
     Mutant("single-set-prime-drops-filler", "attacks.py",
-           "groups = [lines + filler]",
-           "groups = [lines]",
+           "for addr in lines + filler]",
+           "for addr in lines]",
            ("tests/test_attacks.py::test_single_set_probe_sums_lines_and_filler", GOLDEN)),
     Mutant("victim-loads-dropped", "attacks.py",
            "[(KIND_LOAD, addr) for addr in victim]",

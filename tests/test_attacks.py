@@ -54,7 +54,7 @@ def test_eviction_set_deterministic_by_seed():
     assert all_lines(a) != all_lines(c)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(targets=st.lists(st.integers(0, GEO.num_sets - 1), min_size=1, unique=True),
        n_filler=st.integers(0, 300), seed=st.integers(0, 2**32))
 def test_eviction_set_properties(targets, n_filler, seed):

@@ -106,7 +106,7 @@ _RECORD_LINES = st.tuples(
 ).map("".join)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(line=st.one_of(st.text(), _RECORD_LINES),
        lineno=st.integers(min_value=1, max_value=10**6))
 @example(line="W 0xffffffffffff\r\n", lineno=1)
@@ -161,7 +161,7 @@ def _parse_file(path: Path):
     return results
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(st.tuples(st.one_of(_RECORD_LINES, _CANONICAL_LINES),
                                 st.sampled_from(["\n", "\r\n", ""])), max_size=40))
