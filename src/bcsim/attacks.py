@@ -148,6 +148,10 @@ def run_aes_attack(config: SimConfig, n_samples: int, key: bytes) -> AesAttackRe
     the 16 first-round table lookups for a random plaintext (byte i reads
     table i mod 4 at line (p_i xor k_i) >> 4), context switch, then probe
     each set individually and record its summed latency.
+
+    There is no filler: the prime is exactly the L1D, so a sample sends at
+    most its 16 victim lines into the backup cache. A flat probe map
+    (acceptance criterion 5) can show only that those lines are hidden.
     """
     if len(key) != 16:
         raise CacheError("key must be 16 bytes")

@@ -87,18 +87,18 @@ class BackupCache:
         return self.lookup(addr, True)
 
     def select_victim(self) -> int:
-        """Tiered random victim choice among enabled lines."""
-        for tier in (self.invalid, self.used1, self.resident):
-            if tier:
-                # Random.choice's own draw, without its two Python frames:
-                # getrandbits(k), redrawn until it falls below n.
-                n = len(tier)
-                k = n.bit_length()
-                r = self.rng.getrandbits(k)
-                while r >= n:
-                    r = self.rng.getrandbits(k)
-                return tier[r]
-        raise CacheError("no enabled line to select a victim from")
+        """Tiered random victim choice among enabled lines, picked as Simulator.run picks it."""
+        tier = self.invalid or self.used1 or self.resident
+        n = len(tier)
+        if not n:
+            raise CacheError("no enabled line to select a victim from")
+        # Random.choice's own draw, without its two Python frames:
+        # getrandbits(k), redrawn until it falls below n.
+        k = n.bit_length()
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        return tier[r]
 
     def insert(self, addr: int) -> Optional[tuple[int, bool]]:
         """Take in an L1D victim clean, with used=0, unless it is resident; returns the displaced

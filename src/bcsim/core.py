@@ -84,71 +84,58 @@ def compose(tag: int, set_index: int, geo: CacheGeometry, offset: int = 0) -> in
 class SetAssociativeCache:
     """Tag-array-only set-associative cache with true LRU replacement.
 
-    Data payloads are not modeled; hit/miss, dirtiness, and evicted
-    line addresses are the only observables the simulator needs.
-    A set evicts only when all of its ways are valid.
+    Data payloads are not modeled; hits, dirtiness and evicted lines are the
+    only observables. A set evicts only when all of its ways are valid.
 
-    Each set is keyed by line number, addr >> offset_bits, and a line's set is
+    Every method takes a line number, as BackupCache does. A line's set is
     sets[line & index_mask]; its tag, line >> index_bits, appears only in
-    state_tuple(). Each public method checks its byte address. The simulator
-    checks an address once per access and indexes every level by its line.
+    state_tuple(). Only the simulator turns byte addresses into lines.
     """
 
     def __init__(self, geometry: CacheGeometry):
         self.num_ways = geometry.ways
-        self.offset_bits = geometry.offset_bits
         self.index_bits = geometry.index_bits
         self.index_mask = geometry.num_sets - 1
         # Each set maps line number -> dirty in recency order, least recently used first.
         self.sets: list[dict[int, bool]] = [{} for _ in range(geometry.num_sets)]
 
-    def _locate(self, addr: int) -> tuple[dict[int, bool], int]:
-        """The set holding addr and addr's line number."""
-        if not 0 <= addr < ADDR_LIMIT:
-            check_addr(addr)
-        line = addr >> self.offset_bits
-        return self.sets[line & self.index_mask], line
-
-    def lookup(self, addr: int, store: bool = False) -> bool:
-        """Probe addr; a hit makes the line most recently used, a store hit also dirty."""
-        ways, line = self._locate(addr)
+    def lookup(self, line: int, store: bool = False) -> bool:
+        """Probe a line; a hit makes it most recently used, a store hit also dirty."""
+        ways = self.sets[line & self.index_mask]
         dirty = ways.pop(line, None)
         if dirty is None:
             return False
         ways[line] = True if store else dirty
         return True
 
-    def insert(self, addr: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
-        """Install addr as MRU; returns (line address, dirty) of the LRU victim if the set was full.
-
-        The caller must have checked that addr is not already resident.
-        """
-        ways, line = self._locate(addr)
+    def insert(self, line: int, dirty: bool = False) -> Optional[tuple[int, bool]]:
+        """Install a line, which must not be resident, as MRU; returns (line, dirty) of the
+        LRU victim if the set was full."""
+        ways = self.sets[line & self.index_mask]
         if line in ways:
-            raise CacheError(f"insert of already-resident address {addr:#x}")
+            raise CacheError(f"insert of already-resident line {line:#x}")
         evicted = None
         if len(ways) == self.num_ways:
             victim = next(iter(ways))
-            evicted = (victim << self.offset_bits, ways.pop(victim))
+            evicted = (victim, ways.pop(victim))
         ways[line] = dirty
         return evicted
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the matching line if present; dirty contents are discarded."""
-        ways, line = self._locate(addr)
-        return ways.pop(line, None) is not None
+    def invalidate(self, line: int) -> bool:
+        """Drop the line if present; dirty contents are discarded."""
+        return self.sets[line & self.index_mask].pop(line, None) is not None
 
-    def write_touch(self, addr: int) -> bool:
+    def write_touch(self, line: int) -> bool:
         """A store probe, kept only for perfbench/tracer.py, which patches it (ROADMAP item 1)."""
-        return self.lookup(addr, True)
+        return self.lookup(line, True)
 
-    def mark_dirty(self, addr: int) -> bool:
-        """Write-back sink: set the dirty bit if addr is resident, else report a miss.
+    def mark_dirty(self, line: int) -> bool:
+        """Write-back sink: set the dirty bit if the line is resident, else report a miss.
 
         Non-allocating: a write-back of a line the cache does not hold goes
         straight to memory. Recency is deliberately left untouched.
         """
-        ways, line = self._locate(addr)
+        ways = self.sets[line & self.index_mask]
         if line not in ways:
             return False
         ways[line] = True

@@ -203,11 +203,11 @@ class Simulator:
         A record of any other kind raises CacheError; the records before it
         stay applied.
         """
-        l1d, l2, backup = self.l1d, self.l2, self.backup
-        # Every level is keyed by line number, addr >> offset: the L1D and L2 share one line size.
-        l1_sets, l1_mask, l1_ways, offset = l1d.sets, l1d.index_mask, l1d.num_ways, l1d.offset_bits
+        l1d, l2, backup, config = self.l1d, self.l2, self.backup, self.config
+        l1_sets, l1_mask, l1_ways = l1d.sets, l1d.index_mask, l1d.num_ways
         l2_sets, l2_mask, l2_ways = l2.sets, l2.index_mask, l2.num_ways
-        config = self.config
+        # Every level is keyed by line number, addr >> offset: the L1D and L2 share one line size.
+        offset = config.l1d.offset_bits
         l1_cycles, l2_cycles = config.l1d.hit_cycles, config.l2.hit_cycles
         miss_cycles = l2_cycles + config.memory_penalty_cycles
         # Locals: on CPython 3.11 a string compare that feeds a jump is specialised.
@@ -385,7 +385,7 @@ class Simulator:
         self.mem_access_count = self.config.fixed_threshold or new
         written_back = tuple(self.backup.resize(new))
         for wb in written_back:
-            self.l2.mark_dirty(wb << self.l2.offset_bits)
+            self.l2.mark_dirty(wb)
         return (old, new), written_back
 
     # -- other events -------------------------------------------------
@@ -398,16 +398,17 @@ class Simulator:
 
     def external_invalidate(self, addr: int) -> bool:
         """Coherence invalidation from below: drop the line everywhere."""
-        in_l1 = self.l1d.invalidate(addr)  # checks addr before any change
-        in_bu = self.backup is not None and self.backup.invalidate(addr >> self.l1d.offset_bits)
-        in_l2 = self.l2.invalidate(addr)
+        line = check_addr(addr) >> self.config.l1d.offset_bits
+        in_l1 = self.l1d.invalidate(line)
+        in_bu = self.backup is not None and self.backup.invalidate(line)
+        in_l2 = self.l2.invalidate(line)
         return in_l1 or in_bu or in_l2
 
     # -- introspection ------------------------------------------------
 
     def backup_state(self) -> tuple:
         """The BC's state_tuple() with each slot's line number as a byte address."""
-        shift = self.l1d.offset_bits
+        shift = self.config.l1d.offset_bits
         return tuple(slot[:4] + (slot[4] << shift,) for slot in self.backup.state_tuple())
 
     def state_digest(self) -> str:

@@ -42,6 +42,7 @@ TRACE = "tests/test_trace.py::test_run_trace_counts_what_the_full_unpack_counts"
 STREAMS = "tests/test_golden.py::test_outcome_stream"
 GOLDEN = "tests/test_golden.py::test_golden"
 TOUCH_MODEL = "tests/test_attacks.py::test_aes_first_round_touch_model"
+OVERFLOW_ATTACK = "tests/test_acceptance.py::test_criterion_10_resizing_defeats_overflow_attack"
 FILE_BLOCKS = ("tests/test_trace.py::test_file_blocks_bulk_and_per_line",
                "tests/test_trace.py::test_file_blocks_parse_as_lines")
 CONFIG_ROUND_TRIP = ("tests/test_cli.py::test_dump_config_loads_back",
@@ -65,12 +66,12 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("swapped-used-tiers", "backup.py",
-           "for tier in (self.invalid, self.used1, self.resident):",
-           "for tier in (self.invalid, self.resident, self.used1):",
+           "tier = self.invalid or self.used1 or self.resident",
+           "tier = self.invalid or self.resident or self.used1",
            (BATCH, STREAMS)),
     Mutant("invalid-tier-skipped", "backup.py",
-           "for tier in (self.invalid, self.used1, self.resident):",
-           "for tier in (self.used1, self.resident, self.invalid):",
+           "tier = self.invalid or self.used1 or self.resident",
+           "tier = self.used1 or self.resident or self.invalid",
            (BATCH, STREAMS)),
     Mutant("l1-lru-off-by-one", "simulator.py",
            "eviction = next(iter(ways))",
@@ -172,6 +173,12 @@ MUTANTS = [
            "latencies.append(l1_cycles)",
            "latencies.append(0)",
            (BATCH, "tests/test_attacks.py")),
+    # The size draw and the countdown stay; only the size never changes. With
+    # filler that overflows the BC, the overflow attack then leaks.
+    Mutant("resize-keeps-size", "simulator.py",
+           "self.backup.resize(new)",
+           "self.backup.resize(old)",
+           (OVERFLOW_ATTACK, GOLDEN)),
     Mutant("resize-grows-one-short", "backup.py",
            "        if change > 0:\n",
            "        if change > 0:\n            change -= 1\n",

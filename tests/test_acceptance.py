@@ -151,7 +151,9 @@ def test_criterion_8_randomized_state_machine():
     with criterion(8):
         cfg = backup_config(12, 16, seed=41)
         sim = Simulator(cfg)
+        # A standalone L2, keyed by line number as the simulator's own is.
         twin_l2 = SetAssociativeCache(cfg.l2)
+        shift = cfg.l2.offset_bits
         rng = random.Random(41)
         footprint = [i * 64 for i in range(3000)]
         accesses = last_resize_at = 0
@@ -184,17 +186,17 @@ def test_criterion_8_randomized_state_machine():
                 if kind == KIND_CTXSWITCH:
                     continue
                 if kind == KIND_INVALIDATE:
-                    twin_l2.invalidate(addr)
+                    twin_l2.invalidate(addr >> shift)
                     continue
                 accesses += 1
                 assert len(set(out.writebacks)) == len(out.writebacks)
                 for wb in out.writebacks:
-                    twin_l2.mark_dirty(wb)
+                    twin_l2.mark_dirty(wb >> shift)
                 if out.case == "00":
                     if out.l2_hit:
-                        twin_l2.lookup(addr)
+                        twin_l2.lookup(addr >> shift)
                     else:
-                        twin_l2.insert(addr)
+                        twin_l2.insert(addr >> shift)
                 if out.resized is not None:
                     old, new = out.resized
                     assert cfg.backup_min <= new <= cfg.backup_max
@@ -235,6 +237,25 @@ def test_criterion_9_resize_threshold_sweep(tmp_path):
         assert counts == sorted(counts, reverse=True)
         assert rows[-1][0] == "dynamic"
         assert int(rows[-1][1]) > 0
+
+
+def test_criterion_10_resizing_defeats_overflow_attack():
+    """With 28 KB of filler the prime overflows the BC as well as the L1D.
+
+    A fixed 256-line BC then leaks the secret to the attack's own midpoint
+    classifier, while the default 12-16 KB range, on the same seeds and
+    secrets, holds that classifier near chance. So resizing is what defeats
+    this classifier. This does not show that the dynamic BC leaks nothing: a
+    classifier fit to the probe miss counts does better (ROADMAP item 8).
+    """
+    with criterion(10):
+        for seed in range(1, 6):
+            rng = random.Random(1000 + seed)
+            secret = [rng.getrandbits(1) for _ in range(200)]
+            fixed = run_single_set_attack(backup_config(16, 16, seed=seed), secret, 28 * 1024)
+            dynamic = run_single_set_attack(backup_config(12, 16, seed=seed), secret, 28 * 1024)
+            assert fixed.accuracy >= 0.85, (seed, fixed.accuracy)
+            assert dynamic.accuracy <= 0.70, (seed, dynamic.accuracy)
 
 
 if __name__ == "__main__":

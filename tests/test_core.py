@@ -11,6 +11,7 @@ from bcsim.core import (
     SetAssociativeCache,
     compose,
 )
+from bcsim.simulator import KIND_INVALIDATE, KIND_LOAD, KIND_STORE, Simulator, backup_config
 
 GEO = CacheGeometry(line_bytes=64, num_sets=64, ways=4, hit_cycles=3)
 
@@ -67,6 +68,12 @@ def test_line_addr_clears_offset():
 
 SMALL_GEO = CacheGeometry(line_bytes=64, num_sets=4, ways=4, hit_cycles=1)
 
+
+def line_at(tag, set_index, offset=0):
+    """The line number, the key of every cache level, of a SMALL_GEO address."""
+    return compose(tag, set_index, SMALL_GEO, offset) >> SMALL_GEO.offset_bits
+
+
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(["lookup", "insert", "insert_dirty", "write", "invalidate",
                                "mark_dirty"]),
@@ -82,39 +89,54 @@ ops_strategy = st.lists(
 # A store hit dirties a clean line.
 @example(ops=[("insert", 0), ("write", 0)])
 def test_lru_matches_brute_force_oracle(ops):
+    """The cache takes line numbers and the oracle byte addresses, line * line_bytes."""
     cache = SetAssociativeCache(SMALL_GEO)
     oracle = RefSetCache(SMALL_GEO)
-    for op, slot in ops:
-        addr = slot * SMALL_GEO.line_bytes
+    for op, line in ops:
+        addr = line * SMALL_GEO.line_bytes
         if op == "lookup":
-            assert cache.lookup(addr) == (oracle.touch(addr) is not None)
+            assert cache.lookup(line) == (oracle.touch(addr) is not None)
         elif op in ("insert", "insert_dirty"):
             dirty = op == "insert_dirty"
             if oracle.find(addr) is not None:
                 with pytest.raises(CacheError):
-                    cache.insert(addr, dirty=dirty)
+                    cache.insert(line, dirty=dirty)
             else:
-                assert cache.insert(addr, dirty=dirty) == oracle.insert(addr, dirty)
+                evicted = oracle.insert(addr, dirty)
+                assert cache.insert(line, dirty=dirty) == (
+                    None if evicted is None else (evicted[0] // SMALL_GEO.line_bytes, evicted[1]))
         elif op == "write":
             # A store hit is a recency touch plus a dirty mark.
-            assert cache.lookup(addr, True) == (oracle.touch(addr) is not None
+            assert cache.lookup(line, True) == (oracle.touch(addr) is not None
                                                 and oracle.mark_dirty(addr))
         elif op == "invalidate":
-            assert cache.invalidate(addr) == oracle.invalidate(addr)
+            assert cache.invalidate(line) == oracle.invalidate(addr)
         else:
-            assert cache.mark_dirty(addr) == oracle.mark_dirty(addr)
+            assert cache.mark_dirty(line) == oracle.mark_dirty(addr)
         assert cache.state_tuple() == oracle.state_tuple()
         for ways in cache.state_tuple():
             assert len(ways) <= SMALL_GEO.ways
 
 
-@pytest.mark.parametrize("method", ["lookup", "insert", "invalidate", "write_touch",
-                                    "mark_dirty"])
+ENTRY_POINTS = {
+    "run-load": lambda sim, addr: sim.run([(KIND_LOAD, addr)]),
+    "run-store": lambda sim, addr: sim.run([(KIND_STORE, addr)]),
+    "run-invalidate": lambda sim, addr: sim.run([(KIND_INVALIDATE, addr)]),
+    "access": Simulator.access,
+    "external_invalidate": Simulator.external_invalidate,
+}
+
+
+@pytest.mark.parametrize("method", list(ENTRY_POINTS))
 @pytest.mark.parametrize("addr", [ADDR_LIMIT, -64])
 def test_public_methods_reject_out_of_range_addresses(method, addr):
-    cache = SetAssociativeCache(GEO)
+    """The caches take line numbers; a byte address is checked where it enters the simulator."""
+    sim = Simulator(backup_config(seed=5))
+    sim.run([(KIND_STORE if i % 3 else KIND_LOAD, i * 64 % 40_000) for i in range(600)])
+    digest = sim.state_digest()
     with pytest.raises(CacheError):
-        getattr(cache, method)(addr)
+        ENTRY_POINTS[method](sim, addr)
+    assert sim.state_digest() == digest
 
 
 def test_empty_cache_misses():
@@ -130,32 +152,34 @@ def test_insert_then_hit():
 
 def test_lru_victim_after_overflow():
     cache = SetAssociativeCache(SMALL_GEO)
-    addrs = [compose(t, 2, SMALL_GEO) for t in range(5)]
-    for a in addrs:
-        cache.insert(a)
+    lines = [line_at(t, 2) for t in range(5)]
+    for line in lines:
+        cache.insert(line)
     # A (tag 0) was the LRU victim of E
-    assert not cache.lookup(addrs[0])
-    assert cache.lookup(addrs[1])
+    assert not cache.lookup(lines[0])
+    assert cache.lookup(lines[1])
 
 
 def test_insert_prefers_invalid_way():
     cache = SetAssociativeCache(SMALL_GEO)
     for t in range(3):
-        cache.insert(compose(t, 0, SMALL_GEO))
-    assert cache.insert(compose(3, 0, SMALL_GEO)) is None
+        cache.insert(line_at(t, 0))
+    assert cache.insert(line_at(3, 0)) is None
 
 
 def test_eviction_reports_dirty_line_aligned_addr():
+    """The victim comes back as its line number, whatever the offset of the address it came
+    from; test_reference.py holds the simulator's byte address of it against the model."""
     cache = SetAssociativeCache(SMALL_GEO)
-    addrs = [compose(t, 1, SMALL_GEO, offset=7) for t in range(4)]
-    for a in addrs:
-        cache.insert(a)
-    cache.write_touch(addrs[0])
-    cache.lookup(addrs[1])
-    cache.lookup(addrs[2])
-    cache.lookup(addrs[3])
-    evicted = cache.insert(compose(9, 1, SMALL_GEO))
-    assert evicted == (compose(0, 1, SMALL_GEO), True)
+    lines = [line_at(t, 1, offset=7) for t in range(4)]
+    for line in lines:
+        cache.insert(line)
+    cache.write_touch(lines[0])
+    cache.lookup(lines[1])
+    cache.lookup(lines[2])
+    cache.lookup(lines[3])
+    evicted = cache.insert(line_at(9, 1))
+    assert evicted == (line_at(0, 1), True)
 
 
 def test_duplicate_insert_rejected():
@@ -177,10 +201,10 @@ def test_invalidate_semantics():
 def test_write_touch_semantics():
     cache = SetAssociativeCache(SMALL_GEO)
     assert not cache.write_touch(0x40)
-    a = compose(0, 0, SMALL_GEO)
+    a = line_at(0, 0)
     cache.insert(a)
     assert cache.write_touch(a)
     for t in range(1, 4):
-        cache.insert(compose(t, 0, SMALL_GEO))
-    evicted = cache.insert(compose(4, 0, SMALL_GEO))
+        cache.insert(line_at(t, 0))
+    evicted = cache.insert(line_at(4, 0))
     assert evicted == (a, True)

@@ -369,7 +369,7 @@ def test_l2_untouched_by_backup_churn():
     sequence; backup inserts and resizes never leak into it."""
     cfg = SimConfig(seed=33)
     sim = Simulator(cfg)
-    twin = SetAssociativeCache(cfg.l2)
+    twin = SetAssociativeCache(cfg.l2)  # keyed by line number, as the simulator's L2 is
     rng = random.Random(3)
     pool = [compose(t, s, GEO) for t in range(10) for s in range(64)]
     for _ in range(30_000):
@@ -377,8 +377,9 @@ def test_l2_untouched_by_backup_churn():
         out = sim.access(a)
         if out.case == "00":
             # mirror the observed fetch into a standalone L2 model
-            if not twin.lookup(a):
-                twin.insert(a)
+            line = a >> GEO.offset_bits
+            if not twin.lookup(line):
+                twin.insert(line)
     assert twin.state_tuple() == sim.l2.state_tuple()
 
 
