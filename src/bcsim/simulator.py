@@ -16,11 +16,12 @@ MAX_BACKUP_LINES = 1 << 16  # the paper's backup caches hold at most 256 lines
 MODE_BASELINE = "baseline"
 MODE_BACKUP = "backup"
 
-# Record kinds: a record is (kind, address); a context switch ignores its address.
-KIND_LOAD = "load"
-KIND_STORE = "store"
-KIND_CTXSWITCH = "ctxswitch"
-KIND_INVALIDATE = "invalidate"
+# Record kinds, which are the trace file's opcodes: a record is (kind, address),
+# and a context switch ignores its address.
+KIND_LOAD = "R"
+KIND_STORE = "W"
+KIND_CTXSWITCH = "CS"
+KIND_INVALIDATE = "INV"
 
 
 class ConfigError(CacheError):
@@ -159,6 +160,8 @@ class Simulator:
 
     def __init__(self, config: SimConfig):
         self.config = config
+        # Every level is keyed by line number, addr >> offset_bits: one line size for all.
+        self.offset_bits = config.l1d.offset_bits
         self.rng = random.Random(config.seed)
         try:
             self.l1d = SetAssociativeCache(config.l1d)
@@ -206,8 +209,7 @@ class Simulator:
         l1d, l2, backup, config = self.l1d, self.l2, self.backup, self.config
         l1_sets, l1_mask, l1_ways = l1d.sets, l1d.index_mask, l1d.num_ways
         l2_sets, l2_mask, l2_ways = l2.sets, l2.index_mask, l2.num_ways
-        # Every level is keyed by line number, addr >> offset: the L1D and L2 share one line size.
-        offset = config.l1d.offset_bits
+        offset = self.offset_bits
         l1_cycles, l2_cycles = config.l1d.hit_cycles, config.l2.hit_cycles
         miss_cycles = l2_cycles + config.memory_penalty_cycles
         # Locals: on CPython 3.11 a string compare that feeds a jump is specialised.
@@ -398,7 +400,7 @@ class Simulator:
 
     def external_invalidate(self, addr: int) -> bool:
         """Coherence invalidation from below: drop the line everywhere."""
-        line = check_addr(addr) >> self.config.l1d.offset_bits
+        line = check_addr(addr) >> self.offset_bits
         in_l1 = self.l1d.invalidate(line)
         in_bu = self.backup is not None and self.backup.invalidate(line)
         in_l2 = self.l2.invalidate(line)
@@ -408,7 +410,7 @@ class Simulator:
 
     def backup_state(self) -> tuple:
         """The BC's state_tuple() with each slot's line number as a byte address."""
-        shift = self.config.l1d.offset_bits
+        shift = self.offset_bits
         return tuple(slot[:4] + (slot[4] << shift,) for slot in self.backup.state_tuple())
 
     def state_digest(self) -> str:

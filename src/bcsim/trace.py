@@ -11,7 +11,6 @@ from .simulator import KIND_CTXSWITCH, KIND_INVALIDATE, KIND_LOAD, KIND_STORE, S
 # match of a whole block (_CANONICAL) linear in its length.
 _ADDR = r"0x(?:0*[1-9a-fA-F][0-9a-fA-F]{0,11}|0+)"
 _HEXADDR = re.compile(_ADDR + r"\Z")
-_OPCODES = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
 _CTXSWITCH = (KIND_CTXSWITCH, 0)
 # Whole lines in canonical form only: an access as `OP 0xHEX` with one
 # space, `CS`, or an empty line, each ending in "\n". Such a block holds
@@ -20,7 +19,8 @@ _CANONICAL = re.compile(rf"(?:(?:R|W|INV) {_ADDR}\n|CS\n|\n)*")
 # Characters read at a time; a block is then completed to a whole line.
 BLOCK_CHARS = 4096
 
-# One parsed record: (kind, address), with address 0 for a context switch.
+# One parsed record: (kind, address), the kind being the line's opcode and
+# the address 0 for a context switch.
 Record = tuple[str, int]
 
 
@@ -42,12 +42,11 @@ def parse_line(lineno: int, line: str) -> Optional[Record]:
     fields = (line.split("#", 1)[0] if "#" in line else line).split()
     if len(fields) == 2:
         op, text = fields
-        kind = _OPCODES.get(op)
-        if kind is None:
+        if op not in (KIND_LOAD, KIND_STORE, KIND_INVALIDATE):
             raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
         if not _HEXADDR.match(text):
             raise TraceError(lineno, f"bad address {text!r}")
-        return kind, int(text, 16)
+        return op, int(text, 16)
     if not fields:
         return None
     if fields == ["CS"]:
@@ -74,9 +73,8 @@ def parse_trace(source: TextIO) -> Trace:
 
     The stream is read in blocks of about BLOCK_CHARS characters, each
     completed to a whole line. A canonical block fills both columns in C
-    calls, one run of lines between `CS` lines at a time. Any other block
-    goes line by line through parse_line, which owns the grammar and its
-    errors.
+    calls, its opcodes as the kinds. Any other block goes line by line
+    through parse_line, which owns the grammar and its errors.
     """
     kinds, addrs = [], []
     lineno = 1
@@ -84,13 +82,10 @@ def parse_trace(source: TextIO) -> Trace:
         if block[-1] != "\n":
             block += source.readline()
         if _CANONICAL.fullmatch(block):
-            for i, seg in enumerate(block.split("CS\n")):
-                if i:
-                    kinds.append(KIND_CTXSWITCH)
-                    addrs.append(0)
-                toks = seg.split()
-                kinds.extend(map(_OPCODES.__getitem__, toks[::2]))
-                addrs.extend(map(int, toks[1::2], repeat(16)))
+            # A `CS` line, given its address 0, splits like any other record.
+            toks = block.replace("CS\n", "CS 0x0\n").split()
+            kinds.extend(toks[::2])
+            addrs.extend(map(int, toks[1::2], repeat(16)))
         else:
             for n, line in enumerate(block.split("\n"), lineno):
                 if rec := parse_line(n, line):

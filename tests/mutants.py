@@ -214,13 +214,14 @@ MUTANTS = [
            "(?:R|W|INV) {_ADDR}",
            "(?:R|W|INV) 0x[0-9a-fA-F]+",
            FILE_BLOCKS),
+    # The bulk parse gives each `CS` line the address 0 that parse_line returns.
     Mutant("bulk-cs-record-dropped", "trace.py",
-           "kinds.append(KIND_CTXSWITCH)\n                    addrs.append(0)",
-           "pass",
+           'block.replace("CS\\n", "CS 0x0\\n")',
+           'block.replace("CS\\n", "")',
            FILE_BLOCKS),
     Mutant("cs-address-not-appended", "trace.py",
-           "addrs.append(0)",
-           "pass",
+           '"CS 0x0\\n"',
+           '"CS 0x40\\n"',
            FILE_BLOCKS),
     Mutant("fallback-lineno-off-by-one", "trace.py",
            'enumerate(block.split("\\n"), lineno)',

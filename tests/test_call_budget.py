@@ -115,9 +115,8 @@ def aes_costs(seed: int | None) -> tuple[float, float]:
 def write_trace_file(path: Path) -> Path:
     """_records(100_000) as a trace file shaped like the benchmark's: a comment
     line, then one canonical line per record."""
-    ops = {KIND_LOAD: "R", KIND_STORE: "W", KIND_INVALIDATE: "INV"}
     lines = ["# perfbench-shaped trace"]
-    lines += ["CS" if kind == KIND_CTXSWITCH else f"{ops[kind]} {addr:#x}"
+    lines += ["CS" if kind == KIND_CTXSWITCH else f"{kind} {addr:#x}"
               for kind, addr in _records(100_000)]
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -194,9 +193,11 @@ def test_aes_attack_opcodes_per_access():
 
 # Per line of a parsed trace file, read in blocks of about 4 KB: a canonical
 # block costs a few Python calls in all, so the block of the comment line,
-# parsed line by line, makes most of them (0.0064 calls and 0.59 opcodes per
-# line on 3.11.7; 1.0016 and 61.0 when every line went through parse_line).
-PARSE_CALLS, PARSE_OPCODES = 0.02, 1.5
+# parsed line by line, makes most of them (0.0064 calls and 0.51 opcodes per
+# line on 3.11.7; 0.59 opcodes when a canonical block was parsed one run
+# between `CS` lines at a time, and 1.0016 calls and 61.0 opcodes when every
+# line went through parse_line).
+PARSE_CALLS, PARSE_OPCODES = 0.02, 0.55
 
 
 def test_parse_calls_per_line(parse_figures):
@@ -209,8 +210,12 @@ def test_parse_opcodes_per_line(parse_figures):
 
 
 # A parsed trace is two columns, kinds and addresses: per line, 8 bytes for
-# each list slot and 32 for the address's int, 48.0 bytes kept and 49.5 at
-# the peak on 3.11.7 (96.2 at the peak when each record was a tuple).
+# each list slot and 32 for the address's int. A kind is the line's opcode
+# token, so each INV and CS record also keeps its own string (R and W are
+# CPython's cached one-character strings), and on this trace the kinds list,
+# grown a block at a time, happens to end with about 1 spare byte per line:
+# 49.3 bytes kept and 49.8 at the peak on 3.11.7, against 48.0 and 49.5 when
+# kinds were shared constants (96.2 at the peak when each record was a tuple).
 PARSE_BYTES = 56
 
 

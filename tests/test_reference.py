@@ -10,7 +10,6 @@ from reference import RefSimulator, assert_same_state, run_trace_unpacked
 
 from bcsim.core import ADDR_LIMIT, CacheError, CacheGeometry
 from bcsim.simulator import (
-    KIND_CTXSWITCH,
     KIND_INVALIDATE,
     KIND_LOAD,
     KIND_STORE,
@@ -101,11 +100,10 @@ def test_simulator_matches_reference_across_the_address_space(config, ops):
     check_op_by_op(config, ops)
 
 
-OP_KINDS = {"R": KIND_LOAD, "W": KIND_STORE, "CS": KIND_CTXSWITCH, "INV": KIND_INVALIDATE}
-
-
 def to_records(ops):
-    return [(OP_KINDS[op], None if op == "CS" else addr) for op, addr in ops]
+    """The ops as Simulator.run records: an op's name is its kind, and a
+    context switch gets address None."""
+    return [(op, None if op == "CS" else addr) for op, addr in ops]
 
 
 def assert_same_results(ops, events, latencies, ref):

@@ -251,8 +251,7 @@ def test_resizing_l1_hit_carries_its_resize(case, ops):
                         l2=CacheGeometry(64, 4, 4, 20), backup_min=1, backup_max=2,
                         fixed_threshold=8, seed=seed)
         sim, ref = Simulator(cfg), RefSimulator(cfg)
-        records = [(KIND_STORE if op[0] == "W" else KIND_LOAD, lines[op[1]])
-                   for op in ops.split()]
+        records = [(op[0], lines[op[1]]) for op in ops.split()]
         outcomes = []
         for kind, addr in records:
             outcomes.append(sim.access(addr, kind == KIND_STORE))
@@ -353,10 +352,11 @@ def test_out_of_range_address_rejected_before_any_change(config, bad, call):
 
 
 @pytest.mark.parametrize("config", [baseline_config(), SimConfig()], ids=["baseline", "backup"])
-@pytest.mark.parametrize("kind", ["W", "R", "CS", None])
+@pytest.mark.parametrize("kind", ["load", "store", "ctxswitch", None])
 def test_run_rejects_unknown_record_kind(config, kind):
-    """A record kind other than the four raises instead of running as a
-    load; the store before it stays applied, countdown included."""
+    """A record kind other than the four opcodes, a spelled-out name or
+    None, raises instead of running as a load; the store before it stays
+    applied, countdown included."""
     sim, ref = Simulator(config), RefSimulator(config)
     with pytest.raises(CacheError, match="unknown record kind"):
         sim.run([(KIND_STORE, 0x40), (kind, 0x80)])

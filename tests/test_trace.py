@@ -75,14 +75,14 @@ def test_readme_trace_example_parses():
 
 def _reference_parse_line(lineno, line):
     """The trace grammar written plainly: strip the comment, split on
-    whitespace, then match the fields. parse_line must agree with it."""
+    whitespace, then match the fields, the opcode being the record's kind.
+    parse_line must agree with it."""
     fields = line.split("#", 1)[0].split()
     if not fields:
         return None
     if fields == ["CS"]:
-        return (KIND_CTXSWITCH, 0)
-    kinds = {"R": KIND_LOAD, "W": KIND_STORE, "INV": KIND_INVALIDATE}
-    if len(fields) != 2 or fields[0] not in kinds:
+        return ("CS", 0)
+    if len(fields) != 2 or fields[0] not in ("R", "W", "INV"):
         raise TraceError(lineno, f"unrecognized record {line.strip()!r}")
     text = fields[1]
     digits = text[2:]
@@ -90,7 +90,7 @@ def _reference_parse_line(lineno, line):
     if not (text.startswith("0x") and 1 <= len(digits) and len(digits.lstrip("0")) <= 12
             and all(c in string.hexdigits for c in digits)):
         raise TraceError(lineno, f"bad address {text!r}")
-    return (kinds[fields[0]], int(digits, 16))
+    return (fields[0], int(digits, 16))
 
 
 # Whitespace that str.split() separates on, ASCII and Unicode alike, and one
@@ -169,6 +169,15 @@ def _parse_file(path: Path):
                 ("INV 0x30", "")])
 @example(lines=[("R 0x10", "\n"), ("W 0x1000000000000", "\n"), ("R 0x20", "\n")])
 @example(lines=[("R 0x10", "\n"), ("# c", "\r\n"), ("", "\n"), ("W 0x20", "\n"), ("X 0x1", "\n")])
+# Canonical blocks with a `CS` line where the bulk parse gives it address 0:
+# first in a block, twice in a row, next to blank lines, last in a block
+# ("R 0x1000\nW 0x2\nC" is 16 characters), and a block of its own after a
+# 16-digit zero-padded address.
+@example(lines=[("CS", "\n"), ("R 0x10", "\n"), ("W 0x20", "\n")])
+@example(lines=[("R 0x10", "\n"), ("CS", "\n"), ("CS", "\n"), ("W 0x20", "\n")])
+@example(lines=[("R 0x10", "\n"), ("", "\n"), ("CS", "\n"), ("", "\n"), ("W 0x20", "\n")])
+@example(lines=[("R 0x1000", "\n"), ("W 0x2", "\n"), ("CS", "\n"), ("R 0x30", "\n")])
+@example(lines=[("R 0x10", "\n"), ("W 0x0000000000001040", "\n"), ("CS", "\n")])
 def test_file_blocks_parse_as_lines(tmp_path, monkeypatch, lines):
     """A file read in blocks gives the records, or the TraceError text and
     line number, that its lines parsed one by one give. 16-character blocks
